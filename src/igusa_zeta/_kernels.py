@@ -1,259 +1,115 @@
-"""Congruence-counting kernels.
+"""Congruence counting by Hensel lifting.
 
-Counting solutions of f(x) = 0 mod pi^j over (O/pi^j)^n is the one hot loop
-in the package (everything else is small exact algebra).  Two backends
-implement the same array-level contract:
+N_j is the number of x in (O/pi^j)^n with f(x) = 0 mod pi^j.  Every solution
+mod pi^j reduces to a solution mod pi^(j-1), so the solutions at level j are
+exactly those of the p^n lifts x + pi^(j-1) t (t in F_p^n) of the level-(j-1)
+solutions that satisfy f = 0 mod pi^j.  Each candidate is evaluated in full,
+so the count stays an exhaustive enumeration and shares no code with the
+recursive engine.
 
-* numba: @njit odometer loops, available only when the optional numba
-  extra is installed, and then chosen by "auto";
-* numpy: chunked vectorized evaluation, always available, and the "auto"
-  choice whenever numba does not import.
-
-Selection: the environment variable IGUSA_ZETA_BACKEND ("numba", "numpy" or
-"auto"), overridable at runtime with :func:`set_backend`.  Counts from the
-two backends are exact integers and must agree bit for bit; the benchmark in
-benchmarks/bench_oracle.py compares their speed.
-
-Array contract: ``exps`` is a (k, n) int64 matrix of exponent rows, one per
-term.  Characteristic 0 passes coefficients mod p^j as a (k,) int64 vector;
-characteristic p passes a (k, j) int64 matrix of pi-adic digit rows.  The
-optional residue mask is a flat uint8 array over F_p^n (row-major, first
-coordinate most significant) restricting points by their reduction.
+Points are stored as residues mod p^j (characteristic 0, shape (N, n)) or as
+pi-adic digit rows (characteristic p, shape (N, n, j), in the narrowest
+unsigned dtype that holds p - 1).  ``exps`` is a (k, n)
+int64 matrix of exponent rows, one per term.  Characteristic 0 passes the
+coefficients as Python ints; characteristic p passes a (k, levels) int64
+matrix of pi-adic digit rows.  The optional residue mask is a flat uint8
+array over F_p^n (row-major, first coordinate most significant) restricting
+points by their reduction; it is applied once, to the level-1 candidates,
+because every lift keeps its reduction.
 """
 
 from __future__ import annotations
 
-import os
+from math import isqrt
+from typing import List
 
 import numpy as np
 
-try:
-    import numba
+from .errors import BudgetExceeded
 
-    HAVE_NUMBA = True
-except ImportError:  # numba is an optional extra; numpy is the fallback
-    numba = None
-    HAVE_NUMBA = False
-
-_CHUNK = 1 << 20
-_forced_backend = None
+# Candidates evaluated per numpy pass; bounds peak memory.
+_SLICE = 1 << 18
+# Largest m - 1 whose square fits in int64; larger moduli use Python ints.
+_INT64_SAFE = isqrt(np.iinfo(np.int64).max)
 
 
-def set_backend(name):
-    """Force "numba" or "numpy", or None to return to the env/auto choice."""
-    global _forced_backend
-    if name not in (None, "numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba is not importable")
-    _forced_backend = name
+def lift_counts(exps, coeffs, p: int, levels: int, positive_char: bool, mask, budget: int) -> List[int]:
+    """N_0..N_levels (N_0 = 1), restricted to the residue mask if one is given.
 
-
-def active_backend() -> str:
-    if _forced_backend is not None:
-        return _forced_backend
-    env = os.environ.get("IGUSA_ZETA_BACKEND", "auto").lower()
-    if env == "numpy":
-        return "numpy"
-    if env == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("IGUSA_ZETA_BACKEND=numba but numba is not importable")
-        return "numba"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_EMPTY_MASK = np.zeros(0, dtype=np.uint8)
-
-
-def count_char0(exps, coeffs, p: int, j: int, mask=None) -> int:
-    """Count x in (Z/p^j)^n with sum of terms = 0 mod p^j (mask-restricted)."""
-    exps = np.ascontiguousarray(exps, dtype=np.int64)
-    modulus = p**j
-    coeffs = np.ascontiguousarray(np.asarray(coeffs) % modulus, dtype=np.int64)
-    use_mask = mask is not None
-    m = np.ascontiguousarray(mask, dtype=np.uint8) if use_mask else _EMPTY_MASK
-    if active_backend() == "numba":
-        return int(_numba_char0(exps, coeffs, modulus, p, m, use_mask))
-    return _numpy_char0(exps, coeffs, modulus, p, m if use_mask else None)
-
-
-def count_charp(exps, coeff_digits, p: int, j: int, mask=None) -> int:
-    """Count x in (F_p[pi]/pi^j)^n with sum of terms = 0 (mask-restricted)."""
-    exps = np.ascontiguousarray(exps, dtype=np.int64)
-    coeff_digits = np.ascontiguousarray(coeff_digits, dtype=np.int64) % p
-    use_mask = mask is not None
-    m = np.ascontiguousarray(mask, dtype=np.uint8) if use_mask else _EMPTY_MASK
-    if active_backend() == "numba":
-        return int(_numba_charp(exps, coeff_digits, p, j, m, use_mask))
-    return _numpy_charp(exps, coeff_digits, p, j, m if use_mask else None)
-
-
-# -- numpy backend ------------------------------------------------------------
-
-
-def _numpy_char0(exps, coeffs, modulus, p, mask) -> int:
-    k, n = exps.shape
-    total = modulus**n
-    strides = [modulus ** (n - 1 - i) for i in range(n)]
-    count = 0
-    for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        coords = [(idx // strides[i]) % modulus for i in range(n)]
-        acc = np.zeros(idx.shape, dtype=np.int64)
-        for t in range(k):
-            tv = np.full(idx.shape, coeffs[t], dtype=np.int64)
-            for i in range(n):
-                for _ in range(exps[t, i]):
-                    tv = (tv * coords[i]) % modulus
-            acc = (acc + tv) % modulus
-        good = acc == 0
-        if mask is not None:
-            flat = np.zeros(idx.shape, dtype=np.int64)
-            for i in range(n):
-                flat = flat * p + coords[i] % p
-            good &= mask[flat] != 0
-        count += int(np.count_nonzero(good))
-    return count
-
-
-def _mul_trunc_numpy(a, b, p):
-    # truncated convolution of (N, j) digit blocks, mod p
-    j = a.shape[1]
-    out = np.zeros_like(a)
-    for c in range(j):
-        s = np.zeros(a.shape[0], dtype=np.int64)
-        for i in range(c + 1):
-            s += a[:, i] * b[:, c - i]
-        out[:, c] = s % p
-    return out
-
-
-def _numpy_charp(exps, coeff_digits, p, j, mask) -> int:
-    k, n = exps.shape
-    total = p ** (n * j)
-    chunk = max(1, _CHUNK >> 3)
-    count = 0
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        size = idx.shape[0]
-        digits = np.empty((n, size, j), dtype=np.int64)
-        for i in range(n):
-            for d in range(j):
-                digits[i, :, d] = (idx // p ** (i * j + d)) % p
-        acc = np.zeros((size, j), dtype=np.int64)
-        for t in range(k):
-            tv = np.broadcast_to(coeff_digits[t], (size, j)).copy()
-            for i in range(n):
-                for _ in range(exps[t, i]):
-                    tv = _mul_trunc_numpy(tv, digits[i], p)
-            acc = (acc + tv) % p
-        good = ~acc.any(axis=1)
-        if mask is not None:
-            flat = np.zeros(size, dtype=np.int64)
-            for i in range(n):
-                flat = flat * p + digits[i, :, 0]
-            good &= mask[flat] != 0
-        count += int(np.count_nonzero(good))
-    return count
-
-
-# -- numba backend -------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=False)
-    def _numba_char0(exps, coeffs, modulus, p, mask, use_mask):
-        k, n = exps.shape
-        total = 1
-        for _ in range(n):
-            total *= modulus
-        x = np.zeros(n, dtype=np.int64)
-        count = 0
-        for _ in range(total):
-            ok = True
-            if use_mask:
-                flat = 0
-                for i in range(n):
-                    flat = flat * p + x[i] % p
-                ok = mask[flat] != 0
-            if ok:
-                acc = 0
-                for t in range(k):
-                    tv = coeffs[t]
-                    for i in range(n):
-                        for _e in range(exps[t, i]):
-                            tv = (tv * x[i]) % modulus
-                    acc = (acc + tv) % modulus
-                if acc == 0:
-                    count += 1
-            i = n - 1
-            while i >= 0:
-                x[i] += 1
-                if x[i] == modulus:
-                    x[i] = 0
-                    i -= 1
+    Raises BudgetExceeded, before allocating for it, at a level whose
+    N_(j-1) p^n lifting candidates exceed ``budget``; the survivors kept for
+    the next level therefore never exceed budget / p^n rows.
+    """
+    n = exps.shape[1]
+    size = p**n
+    if levels < 1:
+        return [1]
+    if size > budget:
+        raise BudgetExceeded(f"level 1: {p}^{n} lifting candidates exceed budget {budget}")
+    grid = np.indices((p,) * n, dtype=np.int64).reshape(n, -1).T  # F_p^n, row-major
+    first = grid if mask is None else grid[np.asarray(mask) != 0]
+    store = np.min_scalar_type(p - 1) if positive_char else np.int64
+    chunks = [np.zeros((1, n, 0) if positive_char else (1, n), dtype=store)]
+    step = max(1, _SLICE // size)
+    counts = [1]
+    for j in range(1, levels + 1):
+        lifts = first if j == 1 else grid
+        m = p**j
+        wide = not positive_char and m - 1 > _INT64_SAFE
+        if wide:
+            lifts = lifts.astype(object)
+        found, survivors = 0, []
+        for chunk in chunks:
+            for lo in range(0, len(chunk), step):
+                x = chunk[lo : lo + step]
+                if positive_char:
+                    # digit j-1 of every coordinate is the new digit t
+                    cand = np.concatenate(
+                        [np.repeat(x.astype(np.int64), len(lifts), axis=0),
+                         np.tile(lifts, (len(x), 1))[:, :, None]],
+                        axis=2,
+                    )
+                    acc = np.zeros((len(cand), j), dtype=np.int64)
+                    value = _evaluate(exps, coeffs[:, :j], cand, lambda a, b: _mul_digits(a, b, p), acc)
+                    good = ~(value % p).any(axis=1)
                 else:
-                    break
-        return count
+                    if wide:
+                        x = x.astype(object)
+                    cand = (x[:, None, :] + m // p * lifts[None, :, :]).reshape(-1, n)
+                    acc = np.zeros(len(cand), dtype=cand.dtype)
+                    value = _evaluate(exps, [c % m for c in coeffs], cand, lambda a, b: a * b % m, acc)
+                    good = value % m == 0
+                found += int(np.count_nonzero(good))
+                if j < levels:
+                    if found * size > budget:
+                        raise BudgetExceeded(
+                            f"level {j + 1}: at least {found}*{p}^{n} lifting candidates"
+                            f" exceed budget {budget}"
+                        )
+                    survivors.append(cand[good].astype(store) if positive_char else cand[good])
+        counts.append(found)
+        chunks = survivors
+    return counts
 
-    @numba.njit(cache=False)
-    def _numba_charp(exps, coeff_digits, p, j, mask, use_mask):
-        k, n = exps.shape
-        total = 1
-        for _ in range(n * j):
-            total *= p
-        digits = np.zeros((n, j), dtype=np.int64)
-        acc = np.zeros(j, dtype=np.int64)
-        tv = np.zeros(j, dtype=np.int64)
-        tmp = np.zeros(j, dtype=np.int64)
-        count = 0
-        for _ in range(total):
-            ok = True
-            if use_mask:
-                flat = 0
-                for i in range(n):
-                    flat = flat * p + digits[i, 0]
-                ok = mask[flat] != 0
-            if ok:
-                for c in range(j):
-                    acc[c] = 0
-                for t in range(k):
-                    for c in range(j):
-                        tv[c] = coeff_digits[t, c]
-                    for i in range(n):
-                        for _e in range(exps[t, i]):
-                            for c in range(j):
-                                s = 0
-                                for a in range(c + 1):
-                                    s += tv[a] * digits[i, c - a]
-                                tmp[c] = s % p
-                            for c in range(j):
-                                tv[c] = tmp[c]
-                    for c in range(j):
-                        acc[c] = (acc[c] + tv[c]) % p
-                zero = True
-                for c in range(j):
-                    if acc[c] != 0:
-                        zero = False
-                        break
-                if zero:
-                    count += 1
-            # odometer over the n*j digits, last digit fastest
-            pos = n * j - 1
-            while pos >= 0:
-                i, d = pos // j, pos % j
-                digits[i, d] += 1
-                if digits[i, d] == p:
-                    digits[i, d] = 0
-                    pos -= 1
-                else:
-                    break
-        return count
 
-else:  # without numba, set_backend / active_backend refuse "numba" first
+def _evaluate(exps, coeffs, x, mul, acc):
+    """acc plus the sum of the terms c * prod_i x_i^e_i, with ``mul`` the ring product."""
+    powers = [[None, x[:, i]] for i in range(x.shape[1])]
+    for e, c in zip(exps, coeffs):
+        for i, k in enumerate(e):
+            if k:
+                pw = powers[i]
+                while len(pw) <= k:
+                    pw.append(mul(pw[-1], pw[1]))
+                c = mul(c, pw[k])
+        acc = acc + c
+    return acc
 
-    def _numba_char0(*args):
-        raise RuntimeError("numba backend unavailable")
 
-    def _numba_charp(*args):
-        raise RuntimeError("numba backend unavailable")
+def _mul_digits(a, b, p):
+    """Product of pi-adic digit rows truncated to their length (broadcasting)."""
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+    j = out.shape[-1]
+    for i in range(j):
+        out[..., i:] += a[..., i : i + 1] * b[..., : j - i]
+    return out % p

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .coeff import DEFAULT_BUDGET, LocalRing, LocalRingElement
-from .errors import BudgetExceeded, InvalidParameters, InvariantViolation
+from .errors import InvalidParameters, InvariantViolation
 from .poly import MultiPoly
 from .ratfun import RatFun
 from .region import ResidueRegion
@@ -45,6 +45,31 @@ def _region_mask(region: Optional[ResidueRegion]) -> Optional[np.ndarray]:
     return mask
 
 
+def solution_counts(
+    f: MultiPoly,
+    levels: int,
+    region: Optional[ResidueRegion] = None,
+    budget: int = DEFAULT_BUDGET,
+) -> List[int]:
+    """N_0..N_levels: solutions of f = 0 mod pi^j with reduction in the region; N_0 = 1.
+
+    One lifting pass counts every level.  ``budget`` caps the lifting
+    candidates N_(j-1) p^n of each level (BudgetExceeded beyond it).
+    """
+    ring, n = f.ring, f.n
+    terms = sorted(f.terms)
+    exps = np.array(terms, dtype=np.int64).reshape(len(terms), n)
+    if ring.positive_char:
+        coeffs = np.zeros((len(terms), levels), dtype=np.int64)
+        for row, e in enumerate(terms):
+            payload = f.terms[e].payload[:levels]
+            coeffs[row, : len(payload)] = payload
+    else:
+        coeffs = [f.terms[e].payload for e in terms]
+    mask = _region_mask(region)
+    return _kernels.lift_counts(exps, coeffs, ring.p, levels, ring.positive_char, mask, budget)
+
+
 def congruence_count(
     f: MultiPoly,
     j: int,
@@ -52,30 +77,12 @@ def congruence_count(
     budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Number of x in (O/pi^j)^n with f(x) = 0 mod pi^j and reduction in the region."""
-    ring, n = f.ring, f.n
-    p = ring.p
-    if j == 0:
-        return 1
-    if p ** (n * j) > budget:
-        raise BudgetExceeded(f"{p}^{n * j} points exceed budget {budget}")
-    mask = _region_mask(region)
-    if f.is_zero():
-        total = p ** (n * j)
-        return total if mask is None else int(mask.sum()) * p ** (n * (j - 1))
-    exps = np.array(sorted(f.terms), dtype=np.int64).reshape(len(f.terms), n)
-    if ring.positive_char:
-        digits = np.zeros((len(f.terms), j), dtype=np.int64)
-        for row, e in enumerate(sorted(f.terms)):
-            payload = f.terms[e].payload[:j]
-            digits[row, : len(payload)] = payload
-        return _kernels.count_charp(exps, digits, p, j, mask)
-    coeffs = np.array([f.terms[e].payload % p**j for e in sorted(f.terms)], dtype=np.int64)
-    return _kernels.count_char0(exps, coeffs, p, j, mask)
+    return solution_counts(f, j, region, budget)[j]
 
 
 def oracle_counts(f: MultiPoly, j_max: int, budget: int = DEFAULT_BUDGET) -> List[int]:
     """Exhaustive counts N_0..N_jmax of solutions mod pi^j; N_0 = 1."""
-    return [congruence_count(f, j, None, budget) for j in range(j_max + 1)]
+    return solution_counts(f, j_max, None, budget)
 
 
 @dataclass

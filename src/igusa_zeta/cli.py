@@ -62,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="field characteristic: 0 for Q_p, p for F_p((u))")
         p.add_argument("--format", choices=["text", "json", "latex"], default="text")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="enumeration budget (points)")
+                       help="enumeration budget: residue points per classification, "
+                            "lifting candidates N_(j-1)*p^n per counting level")
         p.add_argument("--max-depth", type=int, default=64, help="dilatation recursion cap")
         p.add_argument("--max-iter", type=int, default=32, help="stabilization iteration cap")
         p.add_argument("--cache", default=None, help=f"result cache directory (or ${CACHE_ENV})")
@@ -75,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--trace", default=None, metavar="FILE",
                    help="write the dilatation tree as JSON")
 
-    o = sub.add_parser("oracle", help="count congruence solutions by brute force")
+    o = sub.add_parser("oracle", help="count congruence solutions exhaustively")
     common(o)
     o.add_argument("--levels", type=int, default=4, metavar="J", help="count N_0..N_J")
 
@@ -273,7 +274,7 @@ def cmd_check(args) -> int:
     extracted = analysis.poincare_from_zeta(Z, f.n).counts(args.levels)
     results.append(("poincare counts == oracle counts", extracted == counts))
     results.append(
-        ("series expansion == valuation fibers", spf.series_check(f, full, Z, args.levels, args.budget))
+        ("series expansion == valuation fibers", spf.series_check(f, full, Z, args.levels, counts=counts))
     )
     shape = _closed_form_shape(f)
     if shape is not None:

@@ -26,7 +26,11 @@ class InsufficientValuation(EngineError):
 
 
 class BudgetExceeded(EngineError):
-    """A point enumeration would exceed the configured budget."""
+    """An enumeration would exceed the configured budget.
+
+    The budget caps the p^n residue points of one classification and the
+    N_(j-1) p^n lifting candidates of one congruence-counting level.
+    """
 
 
 class ZeroPolynomial(EngineError):

@@ -174,20 +174,21 @@ def series_check(
     Z: RatFun,
     J: int,
     budget: int = DEFAULT_BUDGET,
+    counts: Optional[List[int]] = None,
 ) -> bool:
     """Compare the expansion of Z with exhaustively measured valuation fibers.
 
     The coefficient of t^j in the zeta integral is the measure of the set of
     points of the region where f has valuation exactly j, which equals
     N_j p^(-n j) - N_{j+1} p^(-n (j+1)) in terms of restricted solution
-    counts.  Checks orders 0..J-1.
+    counts.  Checks orders 0..J-1.  ``counts`` may pass N_0..N_J for the
+    region if they are already known; otherwise they are counted here.
     """
     if J <= 0:
         return True
     p, n = f.ring.p, f.n
-    masses = [region.measure()]
-    for j in range(1, J + 1):
-        count = analysis.congruence_count(f, j, region, budget)
-        masses.append(Fraction(count, p ** (n * j)))
+    if counts is None:
+        counts = analysis.solution_counts(f, J, region, budget)
+    masses = [region.measure()] + [Fraction(counts[j], p ** (n * j)) for j in range(1, J + 1)]
     expected = [masses[j] - masses[j + 1] for j in range(J)]
     return Z.series_expand(J - 1) == expected

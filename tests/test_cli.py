@@ -87,6 +87,26 @@ def test_exit_code_budget(capsys):
     assert code == 6
 
 
+def test_exit_code_budget_before_allocating(capsys):
+    # 100003^2 level-1 candidates: refused before the F_p^n grid is built
+    code, _, err = run(capsys, "oracle", "x^2+y^3", "--prime", "100003", "--levels", "1")
+    assert code == 6 and "budget" in err
+    code, out, _ = run(capsys, "oracle", "x^2+y^3", "--prime", "100003", "--levels", "0")
+    assert code == 0 and out.splitlines() == ["N_0 = 1"]
+
+
+def test_oracle_default_budget_agrees_with_engine(capsys):
+    # 7^12 points at the last level, but only N_5 * 7^2 lifting candidates
+    code, out, _ = run(capsys, "oracle", "x^2+y^3", "--prime", "7",
+                       "--levels", "6", "--format", "json")
+    assert code == 0
+    expected = [1, 7, 91, 637, 4459, 31213, 924385]
+    assert json.loads(out)["N"] == expected
+    code, out, _ = run(capsys, "compute", "x^2+y^3", "--prime", "7",
+                       "--expand", "6", "--format", "json")
+    assert code == 0 and json.loads(out)["N"] == expected
+
+
 def test_oracle_text_and_json(capsys):
     code, out, _ = run(capsys, "oracle", "x^2+y^3", "--prime", "5", "--levels", "2")
     assert code == 0 and out.splitlines() == ["N_0 = 1", "N_1 = 5", "N_2 = 45"]

@@ -1,24 +1,14 @@
 import pytest
 
-from igusa_zeta import LocalRing, ResidueRegion, parse
-from igusa_zeta import _kernels
+from igusa_zeta import LocalRing, ResidueRegion, oracle_counts, parse
 from igusa_zeta.analysis import congruence_count
+from igusa_zeta.errors import BudgetExceeded
 
 from _util import brute_counts_char0, brute_counts_charp
 
 Z3 = LocalRing(3)
 Z5 = LocalRing(5)
 F3PI = LocalRing(3, positive_char=True)
-
-# numpy is always available; numba is checked wherever it imports.
-BACKENDS = ("numba", "numpy") if _kernels.HAVE_NUMBA else ("numpy",)
-
-
-@pytest.fixture(autouse=True)
-def reset_backend():
-    yield
-    _kernels.set_backend(None)
-
 
 CASES_CHAR0 = [
     ("x^2+y^3", Z5, 2),
@@ -34,10 +24,7 @@ CASES_CHAR0 = [
 def test_backends_match_reference_char0(text, ring, jmax):
     f = parse(text, ring)
     expected = brute_counts_char0(f, jmax)
-    for backend in BACKENDS:
-        _kernels.set_backend(backend)
-        got = [1] + [congruence_count(f, j) for j in range(1, jmax + 1)]
-        assert got == expected, backend
+    assert [1] + [congruence_count(f, j) for j in range(1, jmax + 1)] == expected
 
 
 CASES_CHARP = [
@@ -51,10 +38,7 @@ CASES_CHARP = [
 def test_backends_match_reference_charp(text, ring, jmax):
     f = parse(text, ring)
     expected = brute_counts_charp(f, jmax)
-    for backend in BACKENDS:
-        _kernels.set_backend(backend)
-        got = [1] + [congruence_count(f, j) for j in range(1, jmax + 1)]
-        assert got == expected, backend
+    assert [1] + [congruence_count(f, j) for j in range(1, jmax + 1)] == expected
 
 
 def test_masked_counts_match_between_backends():
@@ -69,22 +53,19 @@ def test_masked_counts_match_between_backends():
     def in_explicit(r):
         return r in ((0, 0), (1, 2), (2, 2))
 
-    # every backend is compared with the enumeration, so they agree via it
     expected = (
         brute_counts_char0(f, 3, in_product)[3],
         brute_counts_char0(f, 3, in_explicit)[3],
         brute_counts_charp(fp, 3, in_product)[3],
         brute_counts_charp(fp, 3, in_explicit)[3],
     )
-    for backend in BACKENDS:
-        _kernels.set_backend(backend)
-        got = (
-            congruence_count(f, 3, product),
-            congruence_count(f, 3, explicit),
-            congruence_count(fp, 3, product),
-            congruence_count(fp, 3, explicit),
-        )
-        assert got == expected, backend
+    got = (
+        congruence_count(f, 3, product),
+        congruence_count(f, 3, explicit),
+        congruence_count(fp, 3, product),
+        congruence_count(fp, 3, explicit),
+    )
+    assert got == expected
 
 
 def test_masked_count_against_direct_loop():
@@ -98,31 +79,7 @@ def test_masked_count_against_direct_loop():
         for y in range(modulus)
         if (x * x + y**3) % modulus == 0 and x % 3 in (1, 2)
     )
-    for backend in BACKENDS:
-        _kernels.set_backend(backend)
-        assert congruence_count(f, j, region) == expected
-
-
-def test_env_flag_selects_backend(monkeypatch):
-    monkeypatch.setenv("IGUSA_ZETA_BACKEND", "numpy")
-    assert _kernels.active_backend() == "numpy"
-    monkeypatch.setenv("IGUSA_ZETA_BACKEND", "numba")
-    if _kernels.HAVE_NUMBA:
-        assert _kernels.active_backend() == "numba"
-    else:
-        with pytest.raises(RuntimeError, match="numba is not importable"):
-            _kernels.active_backend()
-    monkeypatch.setenv("IGUSA_ZETA_BACKEND", "auto")
-    assert _kernels.active_backend() == ("numba" if _kernels.HAVE_NUMBA else "numpy")
-    # an explicit set_backend overrides the environment
-    _kernels.set_backend("numpy")
-    monkeypatch.setenv("IGUSA_ZETA_BACKEND", "numba")
-    assert _kernels.active_backend() == "numpy"
-
-
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        _kernels.set_backend("fortran")
+    assert congruence_count(f, j, region) == expected
 
 
 def test_zero_polynomial_counts():
@@ -130,3 +87,42 @@ def test_zero_polynomial_counts():
     region = ResidueRegion.product(3, [frozenset({1}), frozenset(range(3))])
     assert congruence_count(f, 2) == 3**4
     assert congruence_count(f, 2, region) == 3 * 3**2
+
+
+# Counts out of reach of the pure-Python enumerations, recorded from the
+# former brute-force numpy kernel (p^(n j) points per level).
+CASES_PINNED = [
+    ("x^2+y^3", Z5, [1, 5, 45, 225, 1125, 5625]),
+    ("x^2+y^3+x*y^2", LocalRing(7), [1, 6, 84, 588, 4116]),
+    ("x^2+y^2+z^2", Z5, [1, 25, 725, 18125]),
+    ("x^2+y^2+z^2", LocalRing(7), [1, 49, 2695, 132055]),
+    ("x^2+u*y^3", LocalRing(5, positive_char=True), [1, 5, 25, 125, 3125]),
+]
+
+
+@pytest.mark.parametrize("text,ring,expected", CASES_PINNED)
+def test_pinned_counts(text, ring, expected):
+    assert oracle_counts(parse(text, ring), len(expected) - 1) == expected
+
+
+def test_counts_past_int64_products():
+    # from 11^10 on, (m - 1)^2 no longer fits in int64
+    f = parse("x^2", LocalRing(11))
+    assert oracle_counts(f, 10) == [11 ** (j // 2) for j in range(11)]
+
+
+def test_budget_charges_lifting_candidates():
+    # N = [1, 7, 91, 637]: level j lifts N_(j-1) * 7^2 candidates (49, 343, 4459);
+    # the survivors of the last level are only counted, so they are not charged
+    f = parse("x^2+y^3", LocalRing(7))
+    assert oracle_counts(f, 3, budget=4459) == [1, 7, 91, 637]
+    with pytest.raises(BudgetExceeded):
+        oracle_counts(f, 3, budget=4458)
+    assert oracle_counts(f, 2, budget=343) == [1, 7, 91]
+    with pytest.raises(BudgetExceeded):
+        oracle_counts(f, 2, budget=342)
+
+
+def test_charp_digits_past_one_byte():
+    f = parse("x^2", LocalRing(257, positive_char=True))
+    assert oracle_counts(f, 3) == [1, 1, 257, 257]
