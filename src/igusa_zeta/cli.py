@@ -207,13 +207,19 @@ def cmd_compute(args) -> int:
         # a constant term rules out the weight driver; one recursion suffices
         Z, trace = spf.spf_zeta(f, ResidueRegion.full(ring.p, f.n), cfg)
         report = None
-        trace_doc = trace.to_json()
     else:
         Z, report = sqh.zeta_semiquasihomogeneous(f, hint, cfg)
-        trace_doc = {"tree_stats": report.tree_stats}
     counts = analysis.poincare_from_zeta(Z, f.n).counts(args.expand)
     output = _render_compute(args, f, Z, report, counts)
     if args.trace:
+        if report is None:
+            trace_doc = trace.to_json()
+        else:
+            # one tree per engine call: complement cells and iterates
+            trace_doc = {
+                "tree_stats": report.tree_stats,
+                "trees": [root.to_json() for root in report.roots],
+            }
         with open(args.trace, "w") as handle:
             json.dump(trace_doc, handle, sort_keys=True)
     _cache_store(cache, key, output)

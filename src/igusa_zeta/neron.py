@@ -127,17 +127,23 @@ def mu_procedure(
 
 @dataclass
 class DilatationNode:
-    """One step of the descendant tree built by the recursive engine."""
+    """One step of the descendant tree built by the recursive engine.
+
+    E_accum sums the extracted contents e along the path from the root and
+    S_accum the numbers of rescaled coordinates, so the node's integral
+    enters the root's value with weight q^(-S_accum) t^E_accum.
+    """
 
     center: Optional[Tuple[LocalRingElement, ...]]
     m: Optional[Tuple[int, ...]]
     e: int
     E_accum: int
+    S_accum: int
     depth: int
     nu: Fraction
     sigma: Fraction
     singular_count: int
-    region: str = "full"
+    region: str
     cached: bool = False
     children: List["DilatationNode"] = field(default_factory=list)
 
@@ -147,6 +153,7 @@ class DilatationNode:
             "m": None if self.m is None else list(self.m),
             "e": self.e,
             "E_accum": self.E_accum,
+            "S_accum": self.S_accum,
             "depth": self.depth,
             "nu": str(self.nu),
             "sigma": str(self.sigma),

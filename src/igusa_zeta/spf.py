@@ -6,13 +6,21 @@ One step of the formula splits the integral over a residue region into
   constant),
 * the smooth zero classes, each contributing the closed geometric factor
   (1 - q^(-1)) t / (1 - q^(-1) t) times their mass, and
-* one dilatation per singular zero class, recursing over the full space
-  with weight q^(-n) t^e.
+* dilatations covering the singular zero classes, each recursing with
+  weight q^(-|S|) t^e, where S is the set of coordinates it rescales.
 
-Descendant dilatations always use the scaling vector (1, ..., 1); general
-scalings enter only through the region change of variables.  Termination is
-guaranteed for regions bounded away from an isolated singularity, so the
-depth cap is a diagnostic for violated hypotheses rather than a tolerance.
+On a product region the singular points are first tested for a box: let S
+be the coordinates on which they all agree, with common value c_S.  If S is
+nonempty and the singular set is all of {c_S} x prod_{i not in S} R_i, one
+dilatation x_i -> c_i + pi x_i (i in S, other coordinates unchanged) covers
+every singular class, with scaling vector 1 on S and 0 off it, and recurses
+over the region that is full on S and R_i off it.  Otherwise (explicit
+regions, S empty, or a singular set that is not a box) each singular point
+gets its own dilatation with scaling vector (1, ..., 1) over the full
+space; a single point is a box with S = everything, so the two rules agree
+there.  Termination is guaranteed for regions bounded away from an isolated
+singularity, so the depth cap is a diagnostic for violated hypotheses
+rather than a tolerance.
 """
 
 from __future__ import annotations
@@ -106,10 +114,9 @@ def spf_zeta(
     e0 = f.content_valuation()
     if e0:
         f = f.divide_by_uniformizer(e0)
-    value, root = _spf(f, region, 0, e0, None, None, e0, ctx)
+    value, root = _spf(f, region, 0, e0, 0, None, None, e0, ctx)
     if e0:
         value = value.scale(1, e0)
-    root.region = region.describe()
     ctx.roots.append(root)
     return value, SpfTrace(root, ctx.stats_dict())
 
@@ -124,6 +131,7 @@ def _spf(
     region: ResidueRegion,
     depth: int,
     e_accum: int,
+    s_accum: int,
     center,
     m,
     e_in: int,
@@ -139,7 +147,10 @@ def _spf(
     if cfg.cache and not cfg.trace and key in ctx.cache:
         value, nu, sigma, n_sing = ctx.cache[key]
         ctx.cache_hits += 1
-        node = DilatationNode(center, m, e_in, e_accum, depth, nu, sigma, n_sing, cached=True)
+        node = DilatationNode(
+            center, m, e_in, e_accum, s_accum, depth, nu, sigma, n_sing,
+            region.describe(), cached=True,
+        )
         return value, node
 
     cls = classify_points(f, region, cfg.budget)
@@ -147,25 +158,61 @@ def _spf(
     if cls.sigma:
         total = total + sigma_term(p, cls.sigma)
     node = DilatationNode(
-        center, m, e_in, e_accum, depth, cls.nu, cls.sigma, len(cls.singular)
+        center, m, e_in, e_accum, s_accum, depth, cls.nu, cls.sigma,
+        len(cls.singular), region.describe(),
     )
     ctx.nodes += 1
     if cls.singular:
         lifting = cfg.lifting if cfg.lifting is not None else Lifting(f.ring)
-        full = ResidueRegion.full(p, n)
-        ones = (1,) * n
-        weight = Fraction(1, p**n)
-        for pbar in cls.singular:
-            lifted = lifting.lift_point(pbar)
-            f_desc, e_desc = dilate(f, lifted, ones)
-            sub, child = _spf(
-                f_desc, full, depth + 1, e_accum + e_desc, lifted, ones, e_desc, ctx
+        found = _singular_box(region, cls.singular)
+        # a point that is not part of a larger box is a box with S = everything
+        boxes = [found] if found is not None else [dict(enumerate(q)) for q in cls.singular]
+        zero = f.ring.zero()
+        for box in boxes:
+            # x_i = c_i + pi y_i on S maps the child region onto the union
+            # of the box's singular classes, with Jacobian q^(-|S|)
+            c_box = tuple(lifting[box[i]] if i in box else zero for i in range(n))
+            scaling = tuple(int(i in box) for i in range(n))
+            child_region = ResidueRegion.product(
+                p, [range(p) if i in box else region.allowed[i] for i in range(n)]
             )
-            total = total + sub.scale(weight, e_desc)
+            f_desc, e_desc = dilate(f, c_box, scaling)
+            s_desc = len(box)
+            sub, child = _spf(
+                f_desc, child_region, depth + 1, e_accum + e_desc, s_accum + s_desc,
+                c_box, scaling, e_desc, ctx,
+            )
+            total = total + sub.scale(Fraction(1, p**s_desc), e_desc)
             node.children.append(child)
     if cfg.cache:
         ctx.cache[key] = (total, cls.nu, cls.sigma, len(cls.singular))
     return total, node
+
+
+def _singular_box(
+    region: ResidueRegion, singular: List[Tuple[int, ...]]
+) -> Optional[Dict[int, int]]:
+    """The common values {i: c_i} on S when the singular set is a box.
+
+    S is the set of coordinates on which every singular point agrees.  On a
+    product region the singular set is exactly {c_S} x prod_{i not in S} R_i
+    when its size is that product's, since every singular point lies in the
+    region.  Returns None for explicit regions, for S empty and for singular
+    sets that are not boxes.
+    """
+    if not region.is_product():
+        return None
+    first = singular[0]
+    common = {
+        i: first[i] for i in range(region.n) if all(q[i] == first[i] for q in singular)
+    }
+    if not common:
+        return None
+    size = 1
+    for i, allowed in enumerate(region.allowed):
+        if i not in common:
+            size *= len(allowed)
+    return common if len(singular) == size else None
 
 
 def series_check(

@@ -20,7 +20,7 @@ analysis module certifies the result independently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Tuple
@@ -183,7 +183,11 @@ def zeta_on_complement(
 
 @dataclass
 class SqhReport:
-    """What the driver learned: weights, stabilization index, poles, sizes."""
+    """What the driver learned: weights, stabilization index, poles, sizes.
+
+    roots holds the dilatation tree of every engine call (complement cells
+    and iterates, in call order); it is left out of to_json.
+    """
 
     weights: WeightSystem
     k0: int
@@ -191,6 +195,7 @@ class SqhReport:
     pole_real_parts: list
     tree_stats: dict
     content_shift: int = 0
+    roots: list = field(default_factory=list, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -275,5 +280,6 @@ def zeta_semiquasihomogeneous(
         pole_real_parts=sorted(value.pole_real_parts()),
         tree_stats=ctx.stats_dict(),
         content_shift=e0,
+        roots=ctx.roots,
     )
     return value, report

@@ -28,6 +28,7 @@ from igusa_zeta import (
     zeta_on_complement,
     zeta_semiquasihomogeneous,
 )
+from igusa_zeta.cli import main
 from igusa_zeta.neron import L_measure
 
 BUDGET = 10**8
@@ -197,3 +198,12 @@ def test_criterion_7_negative_controls():
     perturbed = Z + RatFun.monomial(5, Fraction(1, 9), 3)
     fails = not series_check(f, ResidueRegion.full(5, 1), perturbed, 4)
     _report(7, "bad hint rejected and perturbed value fails the series check", rejected and fails)
+
+
+def test_check_passes_on_box_singular_surface(capsys):
+    # x^2 + y^2 + z^2 + w^3 at p = 5: reductions along the descent are
+    # singular on whole boxes of residue points, one dilatation each
+    code = main(["check", "x^2+y^2+z^2+w^3", "--prime", "5", "--levels", "3"])
+    out = capsys.readouterr().out
+    assert code == 0 and "FAIL" not in out
+    assert "checked N up to j=3: [1, 125, 16125, 2015625]" in out

@@ -173,3 +173,24 @@ def test_trace_export(tmp_path, capsys):
     assert doc["tree"]["depth"] == 0
     assert doc["tree"]["children"][0]["e"] == 1
     assert doc["stats"]["nodes"] >= 2
+
+
+def test_trace_export_semiquasihomogeneous(tmp_path, capsys):
+    trace = tmp_path / "trace.json"
+    code, _, _ = run(capsys, "compute", "x^2+y^3", "--prime", "5", "--trace", str(trace))
+    assert code == 0
+    doc = json.loads(trace.read_text())
+    stats = doc["tree_stats"]
+    # one tree per engine call, i.e. per complement cell
+    assert len(doc["trees"]) == stats["spf_calls"] == 11
+
+    def walk(node):
+        yield node
+        for child in node["children"]:
+            yield from walk(child)
+
+    nodes = [node for tree in doc["trees"] for node in walk(tree)]
+    assert len(nodes) == stats["nodes"]
+    # box children (scaling 0 off the box coordinates) keep their region
+    boxes = [node for node in nodes if node["m"] is not None and 0 in node["m"]]
+    assert {node["region"] for node in boxes} == {"*xunits", "unitsx*"}

@@ -15,6 +15,7 @@ from igusa_zeta import (
     parse,
     series_check,
     spf_zeta,
+    zeta_semiquasihomogeneous,
 )
 from igusa_zeta.spf import sigma_term
 
@@ -23,6 +24,7 @@ from _util import brute_valuation_masses
 Z5 = LocalRing(5)
 Z3 = LocalRing(3)
 F5PI = LocalRing(5, positive_char=True)
+F7PI = LocalRing(7, positive_char=True)
 
 
 def test_single_smooth_zero():
@@ -85,20 +87,22 @@ def test_series_check_positive_and_negative():
 
 
 def test_trace_reconstructs_expansion():
-    # summing nu/sigma contributions with weights q^(-kn) t^E over the tree
-    # reproduces the value (the iterated-formula expansion)
+    # summing nu/sigma contributions with weights q^(-S) t^E over the tree
+    # reproduces the value (the iterated-formula expansion); the last case
+    # dilates two boxes, rescaling x and then y
     cases = [
         (parse("x^2+5", Z5), ResidueRegion.full(5, 1)),
         (parse("x^2+y^3", Z5), ResidueRegion.product(5, [frozenset(range(1, 5)), frozenset(range(5))])),
         (parse("x^2+u^3", F5PI), ResidueRegion.full(5, 1)),
+        (parse("x^2+5*y^5+25", Z5), ResidueRegion.full(5, 2)),
     ]
     for f, region in cases:
         cfg = SpfConfig(trace=True)
         Z, trace = spf_zeta(f, region, cfg)
-        p, n = f.ring.p, f.n
+        p = f.ring.p
         total = RatFun.zero(p)
         for node in trace.root.walk():
-            weight = Fraction(1, p ** (node.depth * n))
+            weight = Fraction(1, p**node.S_accum)
             piece = RatFun.const(p, node.nu)
             if node.sigma:
                 piece = piece + sigma_term(p, node.sigma)
@@ -126,6 +130,101 @@ def test_depth_cap_detects_nonisolated_singularity():
     f = parse("x^2*y", Z3)
     with pytest.raises(DepthExceeded):
         spf_zeta(f, ResidueRegion.full(3, 2), SpfConfig(max_depth=12))
+    # x^2 in two variables: the box dilatation reproduces its parent
+    with pytest.raises(DepthExceeded):
+        spf_zeta(parse("x^2", Z5, n_hint=2), ResidueRegion.full(5, 2), SpfConfig(max_depth=12))
+
+
+def test_box_dilatation_is_one_child():
+    # the reduction x^2 is singular on the whole line x = 0: one dilatation
+    # x -> pi x covers it, with y left alone; its child 5x^2 + y^5 + 5
+    # reduces to y^5, a box in y.  (Without the constant the origin is
+    # singular over Z_5 and the descent would not end on the full space.)
+    f = parse("x^2+5*y^5+25", Z5)
+    Z, trace = spf_zeta(f, ResidueRegion.full(5, 2), SpfConfig(trace=True))
+    root = trace.root
+    assert root.singular_count == 5
+    (child,) = root.children
+    assert child.m == (1, 0) and child.S_accum == 1 and child.region == "full"
+    assert [c.reduce() for c in child.center] == [0, 0]
+    (grandchild,) = child.children
+    assert grandchild.m == (0, 1) and grandchild.S_accum == 2
+    assert series_check(f, ResidueRegion.full(5, 2), Z, 3)
+
+
+def test_box_child_keeps_the_region_off_S():
+    # on units x full the reduction y^3 is singular on units x {0}
+    region = ResidueRegion.product(5, [frozenset(range(1, 5)), frozenset(range(5))])
+    f = parse("25*x^2+y^3", Z5)
+    Z, trace = spf_zeta(f, region, SpfConfig(trace=True))
+    (child,) = trace.root.children
+    assert child.m == (0, 1) and child.region == "unitsx*"
+    assert series_check(f, region, Z, 4)
+
+
+def test_isolated_singular_points_dilate_one_by_one():
+    # x^2 + y^2 (y - 1)^2 + 5: singular reduction points (0, 0) and (0, 1)
+    # agree on x but are not a box, so each gets its own dilatation
+    f = parse("x^2+y^4-2*y^3+y^2+5", Z5)
+    Z, trace = spf_zeta(f, ResidueRegion.full(5, 2), SpfConfig(trace=True))
+    children = trace.root.children
+    assert [tuple(c.reduce() for c in child.center) for child in children] == [(0, 0), (0, 1)]
+    assert all(child.m == (1, 1) and child.S_accum == 2 for child in children)
+    assert series_check(f, ResidueRegion.full(5, 2), Z, 3)
+
+
+def test_explicit_region_dilates_point_by_point():
+    # the same box, given as an explicit point set, is not merged
+    f = parse("x^2+5*y^5+25", Z5)
+    explicit = ResidueRegion.explicit_set(5, 2, [(0, y) for y in range(5)])
+    product = ResidueRegion.product(5, [frozenset({0}), frozenset(range(5))])
+    Z_explicit, trace = spf_zeta(f, explicit, SpfConfig(trace=True))
+    Z_product, product_trace = spf_zeta(f, product, SpfConfig(trace=True))
+    assert len(trace.root.children) == 5
+    assert all(child.m == (1, 1) for child in trace.root.children)
+    assert len(product_trace.root.children) == 1
+    assert Z_explicit == Z_product
+
+
+@pytest.mark.parametrize("text, ring, nodes", [
+    ("x^2+121*y^5", LocalRing(11), 26),
+    ("x^3+y^5+x^2*y^2", LocalRing(7), 148),
+])
+def test_box_dilatation_node_counts(text, ring, nodes):
+    # one dilatation per box instead of one per point (14807 and 11660 nodes
+    # with per-point dilatations)
+    _, report = zeta_semiquasihomogeneous(parse(text, ring))
+    assert report.tree_stats["nodes"] == nodes
+
+
+@pytest.mark.parametrize("text, ring, zeta", [
+    ("x^3+y^5+x^2*y^2", LocalRing(7), {
+        "denom": [{"a": 1, "b": 1}, {"a": 8, "b": 15}],
+        "num": [[43, 49], [-13, 343], [0, 1], [6, 343], [-6, 2401], [6, 2401],
+                [0, 1], [-6, 117649], [0, 1], [6, 117649], [0, 1], [-6, 5764801],
+                [6, 5764801], [-6, 40353607], [0, 1], [-1, 282475249],
+                [1, 282475249]],
+    }),
+    ("x^2+121*y^5", LocalRing(11), {
+        "denom": [{"a": 1, "b": 1}, {"a": 7, "b": 10}],
+        "num": [[10, 11], [-10, 121], [10, 121], [-10, 14641], [10, 14641],
+                [-10, 161051], [10, 161051], [0, 1], [0, 1], [-10, 214358881]],
+    }),
+    ("x^2+y^3+z^3", LocalRing(7), {
+        "denom": [{"a": 1, "b": 1}, {"a": 7, "b": 6}],
+        "num": [[6, 7], [-6, 2401], [6, 2401], [-12, 117649], [12, 117649],
+                [-6, 5764801]],
+    }),
+    ("x^2+u*y^5", F7PI, {
+        "denom": [{"a": 1, "b": 1}, {"a": 7, "b": 10}],
+        "num": [[6, 7], [0, 1], [0, 1], [-6, 2401], [6, 2401], [-6, 16807],
+                [6, 16807], [-6, 823543], [6, 823543], [-6, 5764801]],
+    }),
+])
+def test_pinned_zeta(text, ring, zeta):
+    # values computed with one dilatation per singular point
+    Z, _ = zeta_semiquasihomogeneous(parse(text, ring))
+    assert Z == RatFun.from_json(zeta, ring.p)
 
 
 def test_result_independent_of_lifting():
