@@ -35,6 +35,7 @@ from .sqh import (
     SqhReport,
     WeightSystem,
     detect_weights,
+    limit_cells,
     scale_step,
     zeta_on_complement,
     zeta_semiquasihomogeneous,
@@ -92,6 +93,7 @@ __all__ = [
     "enumerate_points",
     "two_term_closed_form",
     "l_measure",
+    "limit_cells",
     "mu_procedure",
     "oracle_counts",
     "parse",

@@ -107,7 +107,6 @@ def _config(args) -> spf.SpfConfig:
         max_depth=args.max_depth,
         budget=args.budget,
         max_iterations=args.max_iter,
-        trace=getattr(args, "trace", None) is not None,
     )
 
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .coeff import DEFAULT_BUDGET, LocalRingElement
 from .errors import BudgetExceeded, InvariantViolation, NotApplicable
-from .poly import MultiPoly
+from .poly import MultiPoly, ResiduePoly
 from .region import ResidueRegion
 
 INFINITY = math.inf
@@ -41,29 +41,62 @@ def classify_points(
 ) -> PointClassification:
     """Classify every residue point of the region against the reduction of f.
 
-    Requires unit content (so the reduction is defined and nonzero).
+    Requires unit content (so the reduction is defined and nonzero).  The
+    reduction is evaluated on all points at once, one monomial at a time,
+    from per-coordinate tables of x^k mod p for the exponents k that occur;
+    the gradient is evaluated the same way on the zeros only.  Singular
+    points come out in the region's point order.
     """
     p, n = region.p, region.n
     if p**n > budget:
         raise BudgetExceeded(f"{p}^{n} residue points exceed budget {budget}")
     fbar = f.reduce_mod_pi()
     grad = fbar.gradient()
-    nonvanishing = 0
-    smooth = 0
-    singular: List[Tuple[int, ...]] = []
-    for point in region.points(budget):
-        if fbar.evaluate(point) != 0:
-            nonvanishing += 1
-        elif any(g.evaluate(point) != 0 for g in grad):
-            smooth += 1
-        else:
-            singular.append(point)
+    powers = _power_tables([fbar] + grad, p, n)
+    points = list(region.points(budget))
+    values = _evaluate_at(fbar, powers, points)
+    zeros = [point for point, v in zip(points, values) if v == 0]
+    slopes = [_evaluate_at(g, powers, zeros) for g in grad]
+    singular = [point for point, *ds in zip(zeros, *slopes) if not any(ds)]
     total = p**n
-    nu = Fraction(nonvanishing, total)
-    sigma = Fraction(smooth, total)
+    nu = Fraction(len(points) - len(zeros), total)
+    sigma = Fraction(len(zeros) - len(singular), total)
     if nu + sigma + Fraction(len(singular), total) != region.measure():
         raise InvariantViolation("point classification does not partition the region")
     return PointClassification(nu, sigma, singular)
+
+
+def _power_tables(polys: Sequence[ResiduePoly], p: int, n: int) -> List[Dict[int, List[int]]]:
+    """Per coordinate, the row [x^k mod p for x in F_p] of every exponent k > 0 used."""
+    needed: List[set] = [set() for _ in range(n)]
+    for poly in polys:
+        for e in poly.terms:
+            for i, k in enumerate(e):
+                if k:
+                    needed[i].add(k)
+    return [{k: [pow(x, k, p) for x in range(p)] for k in ks} for ks in needed]
+
+
+def _evaluate_at(
+    poly: ResiduePoly, powers: List[Dict[int, List[int]]], points: List[Tuple[int, ...]]
+) -> List[int]:
+    """Values mod p of poly at the points, one monomial at a time over all of them."""
+    columns = [[point[i] for point in points] for i in range(poly.n)]
+    total = [0] * len(points)
+    for e, c in poly.terms.items():
+        vals = None
+        for i, k in enumerate(e):
+            if k:
+                row, col = powers[i][k], columns[i]
+                if vals is None:
+                    vals = [row[x] for x in col]
+                else:
+                    vals = [v * row[x] for v, x in zip(vals, col)]
+        if vals is None:
+            total = [t + c for t in total]
+        else:
+            total = [t + c * v for t, v in zip(total, vals)]
+    return [t % poly.p for t in total]
 
 
 def dilate(
@@ -144,7 +177,6 @@ class DilatationNode:
     sigma: Fraction
     singular_count: int
     region: str
-    cached: bool = False
     children: List["DilatationNode"] = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -159,7 +191,6 @@ class DilatationNode:
             "sigma": str(self.sigma),
             "singular": self.singular_count,
             "region": self.region,
-            "cached": self.cached,
             "children": [c.to_json() for c in self.children],
         }
 

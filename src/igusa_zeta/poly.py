@@ -81,9 +81,6 @@ class MultiPoly:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def variables_present(self) -> frozenset:
-        return frozenset(i for e in self.terms for i in range(self.n) if e[i] > 0)
-
     def key(self):
         """Hashable canonical form (used as a memoization key)."""
         items = tuple(sorted((e, self.terms[e].payload) for e in self.terms))

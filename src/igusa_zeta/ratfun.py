@@ -289,22 +289,3 @@ class RatFun:
         den = "".join(f"\\left(1 - {self.p}^{{-{f.a}}} t^{{{f.b}}}\\right)" for f in self.denom)
         return f"\\frac{{{num}}}{{{den}}}"
 
-
-def add(r1: RatFun, r2: RatFun) -> RatFun:
-    return r1 + r2
-
-
-def scale(r: RatFun, c, e: int = 0) -> RatFun:
-    return r.scale(c, e)
-
-
-def geometric_close(r: RatFun, a: int, b: int) -> RatFun:
-    return r.geometric_close(a, b)
-
-
-def series_expand(r: RatFun, order: int) -> List[Fraction]:
-    return r.series_expand(order)
-
-
-def pole_real_parts(r: RatFun) -> set:
-    return r.pole_real_parts()

@@ -125,10 +125,6 @@ class ResidueRegion:
         return f"ResidueRegion({self.describe()}, p={self.p}, n={self.n})"
 
 
-def measure(region: ResidueRegion) -> Fraction:
-    return region.measure()
-
-
 @dataclass(frozen=True)
 class Polydisc:
     """A_r = { x : v(x_i) >= r_i } with every r_i >= 1."""
@@ -175,6 +171,14 @@ class ValuationCell:
             m *= Fraction(p - 1, p ** (a + 1))
         return m
 
+    def unit_region(self, p: int) -> ResidueRegion:
+        """The product region requiring units on the constrained coordinates."""
+        coords = set(self.coords)
+        units, everything = range(1, p), range(p)
+        return ResidueRegion.product(
+            p, [units if i in coords else everything for i in range(self.n)]
+        )
+
     def describe(self) -> str:
         return ",".join(f"v(x{i + 1})={a}" for i, a in self.constraints)
 
@@ -217,10 +221,4 @@ def cell_change_of_variables(f: MultiPoly, cell: ValuationCell):
     scaled = f.substitute_affine(zero, cell.scale_vector())
     e = scaled.content_valuation()
     f_b = scaled.divide_by_uniformizer(e)
-    units = frozenset(range(1, ring.p))
-    everything = frozenset(range(ring.p))
-    constrained = set(cell.coords)
-    target = ResidueRegion.product(
-        ring.p, [units if i in constrained else everything for i in range(f.n)]
-    )
-    return e, cell.depth_shift(), f_b, target
+    return e, cell.depth_shift(), f_b, cell.unit_region(ring.p)

@@ -40,20 +40,17 @@ from .region import ResidueRegion
 
 @dataclass
 class SpfConfig:
-    """Caps and switches for the recursive engine.
+    """Caps for the recursive engine.
 
     max_depth bounds the dilatation recursion (no effective a priori bound
     is computed; see module docs).  max_iterations caps the perturbation
-    iteration of the semiquasihomogeneous driver.  trace disables the node
-    cache so the exported tree is complete.
+    iteration of the semiquasihomogeneous driver.
     """
 
     max_depth: int = 64
     budget: int = DEFAULT_BUDGET
     max_iterations: int = 32
-    trace: bool = False
     lifting: Optional[Lifting] = None
-    cache: bool = True
 
     def __post_init__(self):
         if self.max_depth < 1:
@@ -72,23 +69,29 @@ class SpfTrace:
 
 
 class SpfContext:
-    """Per-computation state: node cache, statistics, collected trees."""
+    """Per-computation state: statistics and collected trees."""
 
     def __init__(self, cfg: SpfConfig):
         self.cfg = cfg
-        self.cache: Dict[tuple, tuple] = {}
         self.nodes = 0
-        self.cache_hits = 0
         self.max_depth_seen = 0
         self.calls = 0
         self.roots: List[DilatationNode] = []
+
+    def add_tree(self, root: DilatationNode, nodes: int, depth: int):
+        """Count a tree that was not built by a fresh descent as one engine call."""
+        self.calls += 1
+        self.nodes += nodes
+        self.max_depth_seen = max(self.max_depth_seen, depth)
+        self.roots.append(root)
 
     def stats_dict(self) -> dict:
         return {
             "spf_calls": self.calls,
             "nodes": self.nodes,
             "max_depth": self.max_depth_seen,
-            "cache_hits": self.cache_hits,
+            # kept for readers of tree_stats; there is no node cache
+            "cache_hits": 0,
         }
 
 
@@ -142,17 +145,6 @@ def _spf(
         raise DepthExceeded(f"dilatation depth exceeded {cfg.max_depth}")
     ctx.max_depth_seen = max(ctx.max_depth_seen, depth)
     p, n = f.ring.p, f.n
-
-    key = (f.key(), region.key())
-    if cfg.cache and not cfg.trace and key in ctx.cache:
-        value, nu, sigma, n_sing = ctx.cache[key]
-        ctx.cache_hits += 1
-        node = DilatationNode(
-            center, m, e_in, e_accum, s_accum, depth, nu, sigma, n_sing,
-            region.describe(), cached=True,
-        )
-        return value, node
-
     cls = classify_points(f, region, cfg.budget)
     total = RatFun.const(p, cls.nu)
     if cls.sigma:
@@ -184,8 +176,6 @@ def _spf(
             )
             total = total + sub.scale(Fraction(1, p**s_desc), e_desc)
             node.children.append(child)
-    if cfg.cache:
-        ctx.cache[key] = (total, cls.nu, cls.sigma, len(cls.singular))
     return total, node
 
 

@@ -15,6 +15,26 @@ with C_k the complement integral of the k-th iterate and C_inf that of f.
 Stabilization is detected dynamically (two consecutive iterates equal to
 C_inf) rather than through an a priori bound; the series cross-check in the
 analysis module certifies the result independently.
+
+Each complement integral is a signed sum over valuation cells x_i = pi^(a_i)
+y_i, and most cells of an iterate need no fresh descent:
+
+* Reuse.  The limit f is evaluated first, keeping per cell its content e
+  (the pi-order of f(pi^a y)) and the height h of its dilatation tree (the
+  largest E_accum).  Let the tail level of F on the cell be the least
+  v(c) + <a, m> over the monomials c x^m of F - f.  If it exceeds e + h,
+  F's cell polynomial is congruent to f's mod pi^(h+1); a node at E_accum
+  = E <= h then sees F's polynomial congruent to f's mod pi^(h+1-E), so
+  every reduction, every extracted content and hence the whole tree and
+  value are f's.  The cell's record is reused unchanged.
+* Closing.  If one monomial alone has the least level and uses only the
+  cell's unit coordinates, |F|^s is t^low on the whole cell, which closes
+  as sign q^(-d) t^low times the cell region's measure, before any
+  substitution.
+
+Reused and closed cells are counted in tree_stats and collected in the
+trees as engine calls, with the trees the engine would have built for them,
+so the statistics and the --trace export do not depend on the shortcuts.
 """
 
 from __future__ import annotations
@@ -22,8 +42,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from typing import List, Optional, Tuple
+from math import gcd, inf
+from typing import Dict, List, Optional, Tuple
 
 from .errors import (
     InvalidHint,
@@ -32,9 +52,10 @@ from .errors import (
     StabilizationNotReached,
     ZeroPolynomial,
 )
+from .neron import DilatationNode
 from .poly import MultiPoly, weighted_degree
 from .ratfun import DenomFactor, RatFun
-from .region import Polydisc, cell_change_of_variables, complement_cells
+from .region import Polydisc, ValuationCell, cell_change_of_variables, complement_cells
 from .spf import SpfConfig, SpfContext, spf_zeta
 
 
@@ -151,29 +172,107 @@ def scale_step(F: MultiPoly, w: WeightSystem) -> MultiPoly:
     return F.substitute_affine(zero, w.alpha).divide_by_uniformizer(w.d)
 
 
-def zeta_on_complement(
+@dataclass
+class CellIntegral:
+    """The zeta integral over one signed complement cell, with its tree.
+
+    value is the cell's signed contribution sign q^(-d) t^e V, where e is
+    the content of F(pi^a y) and V the integral over the cell's residue
+    region.  nodes, depth and height (the largest E_accum) describe the
+    dilatation tree under root.
+    """
+
+    value: RatFun
+    e: int
+    root: DilatationNode
+    nodes: int = field(init=False)
+    depth: int = field(init=False)
+    height: int = field(init=False)
+
+    def __post_init__(self):
+        tree = list(self.root.walk())
+        self.nodes = len(tree)
+        self.depth = max(node.depth for node in tree)
+        self.height = max(node.E_accum for node in tree)
+
+
+@dataclass
+class LimitCells:
+    """The limit f and its integral over every complement cell of A_alpha."""
+
+    f: MultiPoly
+    cells: Dict[ValuationCell, CellIntegral]
+
+
+def _valued_terms(F: MultiPoly) -> List[Tuple[Tuple[int, ...], int]]:
+    return [(e, c.valuation()) for e, c in F.terms.items()]
+
+
+def _levels(terms, cell: ValuationCell) -> List[Tuple[int, Tuple[int, ...]]]:
+    """(v(c) + <a, e>, e) per monomial: its pi-order after x_i = pi^(a_i) y_i."""
+    return [(v + sum(a * e[i] for i, a in cell.constraints), e) for e, v in terms]
+
+
+def _cell_integral(
+    F: MultiPoly, terms, sign: int, cell: ValuationCell, cfg: SpfConfig, ctx: SpfContext
+) -> CellIntegral:
+    """F over one cell: closed from the exponents when it can be, else by the engine.
+
+    When a single monomial c y^e has the lowest level and uses only the
+    cell's unit coordinates, F(pi^a y) = pi^low (c y^e + pi g) with c y^e a
+    unit on the cell, so |F|^s = t^low there and the integral is t^low times
+    the region's measure; the root node is the one the engine would build.
+    """
+    p = F.ring.p
+    levels = _levels(terms, cell)
+    low = min(level for level, _ in levels)
+    lowest = [e for level, e in levels if level == low]
+    coords = cell.coords
+    if len(lowest) == 1 and all(k == 0 or i in coords for i, k in enumerate(lowest[0])):
+        region = cell.unit_region(p)
+        root = DilatationNode(
+            None, None, 0, 0, 0, 0, region.measure(), Fraction(0), 0, region.describe()
+        )
+        ctx.add_tree(root, 1, 0)
+        value, e = RatFun.const(p, root.nu), low
+    else:
+        e, _, f_cell, target = cell_change_of_variables(F, cell)
+        value, trace = spf_zeta(f_cell, target, cfg, ctx)
+        root = trace.root
+    return CellIntegral(value.scale(Fraction(sign, p**cell.depth_shift()), e), e, root)
+
+
+def _cell_integrals(
     F: MultiPoly,
     w: WeightSystem,
-    cfg: Optional[SpfConfig] = None,
-    ctx: Optional[SpfContext] = None,
-) -> RatFun:
-    """Zeta integral of F over the complement of the polydisc A_alpha.
+    cfg: SpfConfig,
+    ctx: SpfContext,
+    limit: Optional[LimitCells] = None,
+) -> Dict[ValuationCell, CellIntegral]:
+    """F over every signed complement cell, reusing the limit's cells where exact.
 
-    Assembled as the signed sum over valuation cells, each rewritten onto a
-    residue region and evaluated recursively.  The result of each cell has a
-    single geometric denominator, so after cancellation the sum's
-    denominator divides (1 - q^(-1) t); that is asserted.
+    A limit cell with content e and height h is reused when the tail F - f
+    has level above e + h on the cell (see the module docs).
     """
-    if cfg is None:
-        cfg = SpfConfig()
-    if ctx is None:
-        ctx = SpfContext(cfg)
-    p = F.ring.p
-    total = RatFun.zero(p)
+    terms = _valued_terms(F)
+    tail = _valued_terms(F - limit.f) if limit is not None else []
+    out: Dict[ValuationCell, CellIntegral] = {}
     for sign, cell in complement_cells(Polydisc(w.alpha)):
-        e, d_shift, f_cell, target = cell_change_of_variables(F, cell)
-        value, _ = spf_zeta(f_cell, target, cfg, ctx)
-        total = total + value.scale(Fraction(sign, p**d_shift), e)
+        known = limit.cells.get(cell) if limit is not None else None
+        tail_level = min((level for level, _ in _levels(tail, cell)), default=inf)
+        if known is not None and tail_level > known.e + known.height:
+            ctx.add_tree(known.root, known.nodes, known.depth)
+            out[cell] = known
+        else:
+            out[cell] = _cell_integral(F, terms, sign, cell, cfg, ctx)
+    return out
+
+
+def _complement_sum(p: int, cells: Dict[ValuationCell, CellIntegral]) -> RatFun:
+    """The signed cell sum; its denominator must divide (1 - q^(-1) t)."""
+    total = RatFun.zero(p)
+    for integral in cells.values():
+        total = total + integral.value
     if not set(total.denom) <= {DenomFactor(1, 1)} or len(total.denom) > 1:
         raise InvariantViolation(
             f"complement integral has unexpected denominator {total.denom}"
@@ -181,12 +280,54 @@ def zeta_on_complement(
     return total
 
 
+def limit_cells(
+    f: MultiPoly,
+    w: WeightSystem,
+    cfg: Optional[SpfConfig] = None,
+    ctx: Optional[SpfContext] = None,
+) -> LimitCells:
+    """f over every complement cell of A_alpha, kept for reuse by the iterates."""
+    if cfg is None:
+        cfg = SpfConfig()
+    if ctx is None:
+        ctx = SpfContext(cfg)
+    return LimitCells(f, _cell_integrals(f, w, cfg, ctx))
+
+
+def zeta_on_complement(
+    F: MultiPoly,
+    w: WeightSystem,
+    cfg: Optional[SpfConfig] = None,
+    ctx: Optional[SpfContext] = None,
+    limit: Optional[LimitCells] = None,
+) -> RatFun:
+    """Zeta integral of F over the complement of the polydisc A_alpha.
+
+    Assembled as the signed sum over valuation cells, each rewritten onto a
+    residue region and evaluated recursively, unless it closes from the
+    exponents (one lowest monomial in unit coordinates) or, with ``limit``,
+    reuses the limit's integral by the reuse lemma of the module docs.
+    Closed and reused cells count in ctx's statistics and trees as engine
+    calls, with the trees the engine would build.  The result of each cell
+    has a single geometric denominator, so after cancellation the sum's
+    denominator divides (1 - q^(-1) t); that is asserted.
+    """
+    if cfg is None:
+        cfg = SpfConfig()
+    if ctx is None:
+        ctx = SpfContext(cfg)
+    return _complement_sum(F.ring.p, _cell_integrals(F, w, cfg, ctx, limit))
+
+
 @dataclass
 class SqhReport:
     """What the driver learned: weights, stabilization index, poles, sizes.
 
-    roots holds the dilatation tree of every engine call (complement cells
-    and iterates, in call order); it is left out of to_json.
+    roots holds the dilatation tree of every complement cell of the limit
+    and of each iterate, in that order; it is left out of to_json.  Cells
+    that were reused from the limit or closed from the exponents are
+    included, with the trees the engine would build, and tree_stats counts
+    them as engine calls.
     """
 
     weights: WeightSystem
@@ -233,14 +374,15 @@ def zeta_semiquasihomogeneous(
     w = dec.weights
     p = F.ring.p
     ctx = SpfContext(cfg)
-    c_limit = zeta_on_complement(dec.quasi, w, cfg, ctx)
+    limit = limit_cells(dec.quasi, w, cfg, ctx)
+    c_limit = _complement_sum(p, limit.cells)
     u_scale = Fraction(1, p**w.total)
 
     if dec.tail.is_zero():
         k0 = 0
         value = c_limit.geometric_close(w.total, w.d)
     else:
-        iterates: List[RatFun] = [zeta_on_complement(F, w, cfg, ctx)]
+        iterates: List[RatFun] = [zeta_on_complement(F, w, cfg, ctx, limit)]
         current = F
         tail_level = dec.tail.content_valuation()
         k0 = None
@@ -251,7 +393,7 @@ def zeta_semiquasihomogeneous(
             if level <= tail_level:
                 raise InvariantViolation("tail valuation failed to increase")
             tail_level = level
-            iterates.append(zeta_on_complement(current, w, cfg, ctx))
+            iterates.append(zeta_on_complement(current, w, cfg, ctx, limit))
             if k >= 2 and iterates[k - 1] == c_limit and iterates[k] == c_limit:
                 k0 = k - 1
                 break

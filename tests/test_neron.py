@@ -65,6 +65,50 @@ def test_classify_partition_random():
         assert cls.nu + cls.sigma + Fraction(len(cls.singular), 9) == region.measure()
 
 
+def reference_classify(f, region):
+    """One ResiduePoly.evaluate per point and partial, in the region's order."""
+    fbar = f.reduce_mod_pi()
+    grad = fbar.gradient()
+    nonvanishing, smooth, singular = 0, 0, []
+    for point in region.points():
+        if fbar.evaluate(point) != 0:
+            nonvanishing += 1
+        elif any(g.evaluate(point) != 0 for g in grad):
+            smooth += 1
+        else:
+            singular.append(point)
+    total = region.p**region.n
+    return Fraction(nonvanishing, total), Fraction(smooth, total), singular
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_classify_matches_pointwise_evaluation(p):
+    # exponents run past p, so x^k and x^(k mod (p-1)) tables must agree
+    rng = random.Random(p)
+    ring = LocalRing(p)
+    for n in (1, 2, 3):
+        for _ in range(6):
+            terms = {
+                tuple(rng.randint(0, 2 * p + 1) for _ in range(n)): rng.randint(1, 3 * p)
+                for _ in range(rng.randint(1, 4))
+            }
+            terms[tuple(rng.randint(0, 2 * p + 1) for _ in range(n))] = 1
+            f = MultiPoly.from_int_terms(ring, n, terms)
+            points = list(itertools.product(range(p), repeat=n))
+            regions = [
+                ResidueRegion.full(p, n),
+                ResidueRegion.product(
+                    p, [rng.sample(range(p), rng.randint(1, p)) for _ in range(n)]
+                ),
+                ResidueRegion.explicit_set(
+                    p, n, rng.sample(points, rng.randint(0, len(points)))
+                ),
+            ]
+            for region in regions:
+                cls = classify_points(f, region)
+                assert (cls.nu, cls.sigma, cls.singular) == reference_classify(f, region)
+
+
 def test_classify_budget():
     with pytest.raises(BudgetExceeded):
         classify_points(parse("x", Z5), ResidueRegion.full(5, 1), budget=3)

@@ -12,7 +12,6 @@ from igusa_zeta import (
     complement_cells,
     parse,
 )
-from igusa_zeta.region import measure
 
 from _util import brute_valuation_masses, int_valuation
 
@@ -21,11 +20,11 @@ Z3 = LocalRing(3)
 
 
 def test_measure():
-    assert measure(ResidueRegion.full(5, 3)) == 1
+    assert ResidueRegion.full(5, 3).measure() == 1
     units_all = ResidueRegion.product(5, [frozenset(range(1, 5)), frozenset(range(5))])
-    assert measure(units_all) == Fraction(4, 5)
+    assert units_all.measure() == Fraction(4, 5)
     pts = ResidueRegion.explicit_set(5, 2, [(0, 0), (1, 2), (3, 3)])
-    assert measure(pts) == Fraction(3, 25)
+    assert pts.measure() == Fraction(3, 25)
 
 
 def test_region_points_and_contains():

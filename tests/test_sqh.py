@@ -14,6 +14,7 @@ from igusa_zeta import (
     WeightSystem,
     ZeroPolynomial,
     detect_weights,
+    limit_cells,
     parse,
     scale_step,
     series_check,
@@ -21,8 +22,10 @@ from igusa_zeta import (
     zeta_on_complement,
     zeta_semiquasihomogeneous,
 )
+from igusa_zeta import sqh
 from igusa_zeta.poly import MultiPoly
 from igusa_zeta.region import Polydisc, cell_change_of_variables, complement_cells
+from igusa_zeta.spf import SpfContext
 
 Z5 = LocalRing(5)
 Z7 = LocalRing(7)
@@ -146,6 +149,75 @@ def test_complement_signed_cells_equal_direct_spf():
     )
     direct, _ = spf_zeta(f, punctured)
     assert total == direct
+
+
+def reference_complement(F, w):
+    """Every complement cell through the engine, no cell closed or reused."""
+    p = F.ring.p
+    total, roots = RatFun.zero(p), []
+    for sign, cell in complement_cells(Polydisc(w.alpha)):
+        e, d, f_cell, target = cell_change_of_variables(F, cell)
+        value, trace = spf_zeta(f_cell, target)
+        total = total + value.scale(Fraction(sign, p**d), e)
+        roots.append(trace.root)
+    return total, roots
+
+
+class EngineCalls:
+    """Counts the engine calls that sqh makes."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        engine = sqh.spf_zeta
+
+        def counted(*args, **kwargs):
+            self.count += 1
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(sqh, "spf_zeta", counted)
+
+
+@pytest.mark.parametrize("text, ring", [
+    ("x^2+y^2+z^4+z^5", Z5),
+    ("x^3+y^5+x^2*y^2+y^6", Z5),
+    ("x^2+y^3+x*y^2", F5PI),
+])
+def test_iterate_complements_match_engine_on_every_cell(text, ring, monkeypatch):
+    # reused and closed cells give the engine's value, trees and statistics
+    F = parse(text, ring)
+    dec = detect_weights(F)
+    w = dec.weights
+    cells = len(complement_cells(Polydisc(w.alpha)))
+    calls = EngineCalls(monkeypatch)
+    limit = limit_cells(dec.quasi, w)
+    current = F
+    for k in range(4):
+        expected, roots = reference_complement(current, w)
+        calls.count = 0
+        ctx = SpfContext(SpfConfig())
+        assert zeta_on_complement(current, w, ctx=ctx, limit=limit) == expected
+        assert [r.to_json() for r in ctx.roots] == [r.to_json() for r in roots]
+        assert ctx.calls == cells
+        assert ctx.nodes == sum(len(list(r.walk())) for r in roots)
+        if k == 3:
+            assert calls.count < cells  # reuse fired
+        current = scale_step(current, w)
+
+
+def test_closed_cells_have_the_engine_root(monkeypatch):
+    # x^2+y^3+z^5: most cells of the weights (15, 10, 6) close from the exponents
+    f = parse("x^2+y^3+z^5", Z5)
+    w = WeightSystem((15, 10, 6), 30)
+    calls = EngineCalls(monkeypatch)
+    limit = limit_cells(f, w)
+    assert 0 < calls.count < len(limit.cells)
+    for sign, cell in complement_cells(Polydisc(w.alpha)):
+        e, d, f_cell, target = cell_change_of_variables(f, cell)
+        value, trace = spf_zeta(f_cell, target)
+        integral = limit.cells[cell]
+        assert integral.root.to_json() == trace.root.to_json()
+        assert integral.e == e
+        assert integral.value == value.scale(Fraction(sign, 5**d), e)
 
 
 # -- the full driver -----------------------------------------------------------------
