@@ -152,8 +152,7 @@ def _frac(q: Fraction) -> str:
     return str(q)
 
 
-def _render_compute(args, f: MultiPoly, Z: RatFun, report, counts) -> str:
-    poincare = analysis.poincare_from_zeta(Z, f.n)
+def _render_compute(args, f: MultiPoly, Z: RatFun, report, poincare, counts) -> str:
     if args.format == "json":
         doc = {
             "poly": f.render(),
@@ -208,8 +207,9 @@ def cmd_compute(args) -> int:
         report = None
     else:
         Z, report = sqh.zeta_semiquasihomogeneous(f, hint, cfg)
-    counts = analysis.poincare_from_zeta(Z, f.n).counts(args.expand)
-    output = _render_compute(args, f, Z, report, counts)
+    poincare = analysis.poincare_from_zeta(Z, f.n)
+    counts = poincare.counts(args.expand)
+    output = _render_compute(args, f, Z, report, poincare, counts)
     if args.trace:
         if report is None:
             trace_doc = trace.to_json()

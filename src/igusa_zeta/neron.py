@@ -26,14 +26,24 @@ INFINITY = math.inf
 class PointClassification:
     """Exhaustive split of a residue region by the reduced hypersurface.
 
-    nu and sigma already carry the q^(-n) normalization: nu is the measure
-    of the residue classes where the reduction does not vanish, sigma of
-    those where it vanishes to order one (a smooth point of the reduction).
+    nonzero counts the residue points where the reduction does not vanish,
+    smooth those where it vanishes to order one (a smooth point of the
+    reduction); singular lists the rest.  total is p^n, so nu and sigma,
+    the measures of the first two sets, are nonzero/total and smooth/total.
     """
 
-    nu: Fraction
-    sigma: Fraction
+    nonzero: int
+    smooth: int
     singular: List[Tuple[int, ...]]
+    total: int
+
+    @property
+    def nu(self) -> Fraction:
+        return Fraction(self.nonzero, self.total)
+
+    @property
+    def sigma(self) -> Fraction:
+        return Fraction(self.smooth, self.total)
 
 
 def classify_points(
@@ -58,12 +68,11 @@ def classify_points(
     zeros = [point for point, v in zip(points, values) if v == 0]
     slopes = [_evaluate_at(g, powers, zeros) for g in grad]
     singular = [point for point, *ds in zip(zeros, *slopes) if not any(ds)]
-    total = p**n
-    nu = Fraction(len(points) - len(zeros), total)
-    sigma = Fraction(len(zeros) - len(singular), total)
-    if nu + sigma + Fraction(len(singular), total) != region.measure():
+    if len(points) != region.card():
         raise InvariantViolation("point classification does not partition the region")
-    return PointClassification(nu, sigma, singular)
+    return PointClassification(
+        len(points) - len(zeros), len(zeros) - len(singular), singular, p**n
+    )
 
 
 def _power_tables(polys: Sequence[ResiduePoly], p: int, n: int) -> List[Dict[int, List[int]]]:

@@ -128,12 +128,6 @@ class RatFun:
         if self.p != other.p:
             raise ValueError("mixed primes")
 
-    def denominator_poly(self) -> Coeffs:
-        out: Coeffs = (Fraction(1),)
-        for f in self.denom:
-            out = _poly_mul(out, self.factor_coeffs(f))
-        return out
-
     def factor_coeffs(self, f: DenomFactor) -> Coeffs:
         return (Fraction(1),) + (Fraction(0),) * (f.b - 1) + (Fraction(-1, self.p**f.a),)
 

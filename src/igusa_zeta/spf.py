@@ -21,6 +21,17 @@ space; a single point is a box with S = everything, so the two rules agree
 there.  Termination is guaranteed for regions bounded away from an isolated
 singularity, so the depth cap is a diagnostic for violated hypotheses
 rather than a tolerance.
+
+Unrolled, the value over a region is a finite sum over its tree.  A node
+with accumulated content E and S rescaled coordinates, on which a residue
+points do not reduce to zeros and b are smooth zeros, contributes
+
+    q^(-(n + S)) t^E (a + b (1 - q^(-1)) t / (1 - q^(-1) t)).
+
+So the engine adds integers: every node adds (a, b) to a tally keyed by
+(E, n + S), and one RatFun is built from the tally at the end
+(tally_ratfun), with numerator A(t) (1 - q^(-1) t) + B(t) (1 - q^(-1)) t
+over (1 - q^(-1) t), normalised once.
 """
 
 from __future__ import annotations
@@ -95,6 +106,38 @@ class SpfContext:
         }
 
 
+Tally = Dict[Tuple[int, int], Tuple[int, int]]
+"""{(E, k): (a, b)} standing for sum of (a + b (1 - q^(-1)) t / (1 - q^(-1) t)) p^(-k) t^E."""
+
+
+def tally_add(tally: Tally, key: Tuple[int, int], a: int, b: int):
+    """Add (a, b) to the entry at key."""
+    a0, b0 = tally.get(key, (0, 0))
+    tally[key] = (a0 + a, b0 + b)
+
+
+def tally_shift(tally: Tally, sign: int, e: int, k: int) -> Tally:
+    """The tally of sign p^(-k) t^e times the tally's value."""
+    return {(E + e, K + k): (sign * a, sign * b) for (E, K), (a, b) in tally.items()}
+
+
+def tally_ratfun(p: int, tally: Tally) -> RatFun:
+    """The rational function a tally stands for, normalised once.
+
+    Over p^(K+1), K the largest k, the numerator gains p^(K-k) (a p) at
+    t^E and p^(K-k) (b (p - 1) - a) at t^(E+1) per entry, all integers.
+    """
+    top = max((k for _, k in tally), default=0)
+    degree = max((e for e, _ in tally), default=-1) + 2
+    num = [0] * degree
+    for (e, k), (a, b) in tally.items():
+        weight = p ** (top - k)
+        num[e] += weight * a * p
+        num[e + 1] += weight * (b * (p - 1) - a)
+    scale = p ** (top + 1)
+    return RatFun(p, [Fraction(c, scale) for c in num], ((1, 1),))
+
+
 def spf_zeta(
     f: MultiPoly,
     region: ResidueRegion,
@@ -107,6 +150,22 @@ def spf_zeta(
     for g.  Raises DepthExceeded when the descent does not flatten within
     the configured depth (suspected non-isolated singularity on the region).
     """
+    if ctx is None:
+        ctx = SpfContext(cfg if cfg is not None else SpfConfig())
+    tally, root = spf_tally(f, region, cfg, ctx)
+    return tally_ratfun(f.ring.p, tally), SpfTrace(root, ctx.stats_dict())
+
+
+def spf_tally(
+    f: MultiPoly,
+    region: ResidueRegion,
+    cfg: Optional[SpfConfig] = None,
+    ctx: Optional[SpfContext] = None,
+) -> Tuple[Tally, DilatationNode]:
+    """The tally of the zeta integral of f over the region, and its tree.
+
+    spf_zeta without building the RatFun, for callers that add tallies.
+    """
     if cfg is None:
         cfg = SpfConfig()
     if ctx is None:
@@ -117,16 +176,10 @@ def spf_zeta(
     e0 = f.content_valuation()
     if e0:
         f = f.divide_by_uniformizer(e0)
-    value, root = _spf(f, region, 0, e0, 0, None, None, e0, ctx)
-    if e0:
-        value = value.scale(1, e0)
+    tally: Tally = {}
+    root = _spf(f, region, 0, e0, 0, None, None, e0, ctx, tally)
     ctx.roots.append(root)
-    return value, SpfTrace(root, ctx.stats_dict())
-
-
-def sigma_term(p: int, sigma: Fraction) -> RatFun:
-    """The smooth-zero contribution sigma (1 - q^(-1)) t / (1 - q^(-1) t)."""
-    return RatFun(p, (0, sigma * (1 - Fraction(1, p))), ((1, 1),))
+    return tally, root
 
 
 def _spf(
@@ -139,16 +192,16 @@ def _spf(
     m,
     e_in: int,
     ctx: SpfContext,
-) -> Tuple[RatFun, DilatationNode]:
+    tally: Tally,
+) -> DilatationNode:
     cfg = ctx.cfg
     if depth > cfg.max_depth:
         raise DepthExceeded(f"dilatation depth exceeded {cfg.max_depth}")
     ctx.max_depth_seen = max(ctx.max_depth_seen, depth)
     p, n = f.ring.p, f.n
     cls = classify_points(f, region, cfg.budget)
-    total = RatFun.const(p, cls.nu)
-    if cls.sigma:
-        total = total + sigma_term(p, cls.sigma)
+    if cls.nonzero or cls.smooth:
+        tally_add(tally, (e_accum, n + s_accum), cls.nonzero, cls.smooth)
     node = DilatationNode(
         center, m, e_in, e_accum, s_accum, depth, cls.nu, cls.sigma,
         len(cls.singular), region.describe(),
@@ -169,14 +222,11 @@ def _spf(
                 p, [range(p) if i in box else region.allowed[i] for i in range(n)]
             )
             f_desc, e_desc = dilate(f, c_box, scaling)
-            s_desc = len(box)
-            sub, child = _spf(
-                f_desc, child_region, depth + 1, e_accum + e_desc, s_accum + s_desc,
-                c_box, scaling, e_desc, ctx,
-            )
-            total = total + sub.scale(Fraction(1, p**s_desc), e_desc)
-            node.children.append(child)
-    return total, node
+            node.children.append(_spf(
+                f_desc, child_region, depth + 1, e_accum + e_desc, s_accum + len(box),
+                c_box, scaling, e_desc, ctx, tally,
+            ))
+    return node
 
 
 def _singular_box(

@@ -35,6 +35,11 @@ y_i, and most cells of an iterate need no fresh descent:
 Reused and closed cells are counted in tree_stats and collected in the
 trees as engine calls, with the trees the engine would have built for them,
 so the statistics and the --trace export do not depend on the shortcuts.
+
+Cell values are kept as the engine's integer tallies (see the spf module),
+signed and shifted per cell; a complement integral adds its cells' tallies
+and builds one RatFun.  The iterate sum, the stabilization test and the
+geometric close stay in RatFun arithmetic.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from .neron import DilatationNode
 from .poly import MultiPoly, weighted_degree
 from .ratfun import DenomFactor, RatFun
 from .region import Polydisc, ValuationCell, cell_change_of_variables, complement_cells
-from .spf import SpfConfig, SpfContext, spf_zeta
+from .spf import SpfConfig, SpfContext, Tally, spf_tally, tally_add, tally_ratfun, tally_shift
 
 
 @dataclass(frozen=True)
@@ -176,13 +181,15 @@ def scale_step(F: MultiPoly, w: WeightSystem) -> MultiPoly:
 class CellIntegral:
     """The zeta integral over one signed complement cell, with its tree.
 
-    value is the cell's signed contribution sign q^(-d) t^e V, where e is
-    the content of F(pi^a y) and V the integral over the cell's residue
-    region.  nodes, depth and height (the largest E_accum) describe the
-    dilatation tree under root.
+    value is the tally of the cell's signed contribution sign q^(-d) t^e V,
+    where e is the content of F(pi^a y), d the cell's depth shift and V the
+    integral over the cell's residue region: the engine's tally of V with
+    every entry times sign and every key (E, k) moved to (E + e, k + d).
+    nodes, depth and height (the largest E_accum) describe the dilatation
+    tree under root.
     """
 
-    value: RatFun
+    value: Tally
     e: int
     root: DilatationNode
     nodes: int = field(init=False)
@@ -234,12 +241,11 @@ def _cell_integral(
             None, None, 0, 0, 0, 0, region.measure(), Fraction(0), 0, region.describe()
         )
         ctx.add_tree(root, 1, 0)
-        value, e = RatFun.const(p, root.nu), low
+        tally, e = {(0, F.n): (region.card(), 0)}, low
     else:
         e, _, f_cell, target = cell_change_of_variables(F, cell)
-        value, trace = spf_zeta(f_cell, target, cfg, ctx)
-        root = trace.root
-    return CellIntegral(value.scale(Fraction(sign, p**cell.depth_shift()), e), e, root)
+        tally, root = spf_tally(f_cell, target, cfg, ctx)
+    return CellIntegral(tally_shift(tally, sign, e, cell.depth_shift()), e, root)
 
 
 def _cell_integrals(
@@ -269,10 +275,12 @@ def _cell_integrals(
 
 
 def _complement_sum(p: int, cells: Dict[ValuationCell, CellIntegral]) -> RatFun:
-    """The signed cell sum; its denominator must divide (1 - q^(-1) t)."""
-    total = RatFun.zero(p)
+    """The signed cell sum, one RatFun; its denominator must divide (1 - q^(-1) t)."""
+    merged: Tally = {}
     for integral in cells.values():
-        total = total + integral.value
+        for key, (a, b) in integral.value.items():
+            tally_add(merged, key, a, b)
+    total = tally_ratfun(p, merged)
     if not set(total.denom) <= {DenomFactor(1, 1)} or len(total.denom) > 1:
         raise InvariantViolation(
             f"complement integral has unexpected denominator {total.denom}"

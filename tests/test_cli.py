@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from igusa_zeta import RatFun
 from igusa_zeta.cli import main
 
@@ -194,3 +196,56 @@ def test_trace_export_semiquasihomogeneous(tmp_path, capsys):
     # box children (scaling 0 off the box coordinates) keep their region
     boxes = [node for node in nodes if node["m"] is not None and 0 in node["m"]]
     assert {node["region"] for node in boxes} == {"*xunits", "unitsx*"}
+
+
+GOLDEN_COMPUTE_JSON = [
+    # a tailed curve: the driver runs iterates until the complements stabilize
+    (["x^2+y^3+x*y^2", "--prime", "7"],
+     '{"N": [1, 6, 84, 588, 4116], "char": "0", "poincare": {"denom": [{"a": 1, "b": 1}, '
+     '{"a": 5, "b": 6}], "num": [[1, 1], [-1, 49], [6, 343], [0, 1], [0, 1], [0, 1], '
+     '[-1, 117649], [1, 823543]]}, "pole_real_parts": [[-1, 1], [-5, 6]], '
+     '"poly": "x*y^2 + y^3 + x^2", "prime": 7, "report": {"content_shift": 0, "d": 6, '
+     '"k0": 1, "pole_real_parts": [[-1, 1], [-5, 6]], "tree_stats": {"cache_hits": 0, '
+     '"max_depth": 2, "nodes": 64, "spf_calls": 44}, "weights": [3, 2], "zeta": '
+     '{"denom": [{"a": 1, "b": 1}, {"a": 5, "b": 6}], "num": [[43, 49], [-13, 343], '
+     '[6, 343], [0, 1], [0, 1], [-6, 117649], [-1, 823543], [1, 823543]]}}, "zeta": '
+     '{"denom": [{"a": 1, "b": 1}, {"a": 5, "b": 6}], "num": [[43, 49], [-13, 343], '
+     '[6, 343], [0, 1], [0, 1], [-6, 117649], [-1, 823543], [1, 823543]]}}'),
+    # a tailed surface
+    (["x^2+y^2+z^4+z^5", "--prime", "5"],
+     '{"N": [1, 30, 850, 23750, 656250], "char": "0", "poincare": {"denom": '
+     '[{"a": 1, "b": 1}, {"a": 5, "b": 4}], "num": [[1, 1], [1, 25], [4, 625], '
+     '[4, 3125], [-1, 15625], [-1, 78125]]}, "pole_real_parts": [[-5, 4], [-1, 1]], '
+     '"poly": "z^5 + z^4 + x^2 + y^2", "prime": 5, "report": {"content_shift": 0, '
+     '"d": 4, "k0": 1, "pole_real_parts": [[-5, 4], [-1, 1]], "tree_stats": '
+     '{"cache_hits": 0, "max_depth": 1, "nodes": 80, "spf_calls": 68}, "weights": '
+     '[2, 2, 1], "zeta": {"denom": [{"a": 1, "b": 1}, {"a": 5, "b": 4}], "num": '
+     '[[19, 25], [21, 625], [16, 3125], [16, 15625], [1, 78125], [-1, 78125]]}}, '
+     '"zeta": {"denom": [{"a": 1, "b": 1}, {"a": 5, "b": 4}], "num": [[19, 25], '
+     '[21, 625], [16, 3125], [16, 15625], [1, 78125], [-1, 78125]]}}'),
+    # over F_5((u))
+    (["x^2+y^2+u*z^4", "--prime", "5", "--char", "p"],
+     '{"N": [1, 45, 1125, 30625, 828125], "char": "p", "poincare": {"denom": '
+     '[{"a": 1, "b": 1}, {"a": 5, "b": 4}], "num": [[1, 1], [4, 25], [0, 1], '
+     '[4, 3125], [-1, 15625]]}, "pole_real_parts": [[-5, 4], [-1, 1]], "poly": '
+     '"u*z^4 + x^2 + y^2", "prime": 5, "report": {"content_shift": 0, "d": 4, '
+     '"k0": 0, "pole_real_parts": [[-5, 4], [-1, 1]], "tree_stats": {"cache_hits": 0, '
+     '"max_depth": 2, "nodes": 25, "spf_calls": 17}, "weights": [2, 2, 1], "zeta": '
+     '{"denom": [{"a": 1, "b": 1}, {"a": 5, "b": 4}], "num": [[16, 25], [4, 25], '
+     '[-4, 3125], [16, 15625]]}}, "zeta": {"denom": [{"a": 1, "b": 1}, {"a": 5, "b": 4}], '
+     '"num": [[16, 25], [4, 25], [-4, 3125], [16, 15625]]}}'),
+    # a constant term: the one-region engine path, whose smooth-zero term cancels
+    # against the constant to (4/5) / (1 - t/5)
+    (["1+x^2+y^3", "--prime", "5"],
+     '{"N": [1, 5, 25, 125, 625], "char": "0", "poincare": {"denom": [{"a": 1, "b": 1}], '
+     '"num": [[1, 1]]}, "pole_real_parts": [[-1, 1]], "poly": "y^3 + x^2 + 1", '
+     '"prime": 5, "zeta": {"denom": [{"a": 1, "b": 1}], "num": [[4, 5]]}}'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN_COMPUTE_JSON)
+def test_compute_json_golden(capsys, argv, expected):
+    # the exact canonical form, not just an equal rational function
+    code, out, err = run(capsys, "compute", *argv, "--format", "json")
+    assert code == 0 and err == ""
+    assert out == expected + "\n"

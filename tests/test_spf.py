@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from igusa_zeta import (
     spf_zeta,
     zeta_semiquasihomogeneous,
 )
-from igusa_zeta.spf import sigma_term
+from igusa_zeta.spf import tally_ratfun
 
 from _util import brute_valuation_masses
 
@@ -104,9 +105,49 @@ def test_trace_reconstructs_expansion():
             weight = Fraction(1, p**node.S_accum)
             piece = RatFun.const(p, node.nu)
             if node.sigma:
-                piece = piece + sigma_term(p, node.sigma)
+                piece = piece + RatFun(p, (0, node.sigma * (1 - Fraction(1, p))), ((1, 1),))
             total = total + piece.scale(weight, node.E_accum)
         assert total == Z
+
+
+def _tally_terms(p, tally):
+    """The tally's value as a RatFun sum of its per-key terms."""
+    total = RatFun.zero(p)
+    for (e, k), (a, b) in tally.items():
+        weight = Fraction(1, p**k)
+        total = total + RatFun.monomial(p, a * weight, e)
+        total = total + RatFun(p, (0,) * e + (0, b * weight * (1 - Fraction(1, p))), ((1, 1),))
+    return total
+
+
+def _random_tally(rng, p, smooth):
+    return {
+        (rng.randrange(7), rng.randrange(9)): (
+            rng.randint(-30, 30), rng.randint(-30, 30) if smooth else 0,
+        )
+        for _ in range(rng.randint(0, 6))
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_tally_ratfun_matches_ratfun_sums(p):
+    # the same canonical form as adding RatFuns term by term, also when the
+    # numerator is divisible by (1 - q^(-1) t) and the denominator cancels
+    rng = random.Random(p)
+    for case in range(60):
+        kind = case % 3
+        tally = _random_tally(rng, p, smooth=kind != 1)
+        if kind == 2:
+            # make B(p) = 0: then (1 - t/p) divides B(t), hence the whole numerator
+            b_at_p = sum(b * p ** (e - k + 8) for (e, k), (_, b) in tally.items())
+            a0, b0 = tally.get((0, 8), (0, 0))
+            tally[(0, 8)] = (a0, b0 - b_at_p)
+        got = tally_ratfun(p, tally)
+        expected = _tally_terms(p, tally)
+        assert got == expected
+        assert got.to_json() == expected.to_json()
+        if kind != 0:
+            assert got.denom == ()
 
 
 def test_trace_E_accum_increases():
