@@ -31,18 +31,10 @@ def _region_mask(region: Optional[ResidueRegion]) -> Optional[np.ndarray]:
     if region is None or region.is_full():
         return None
     p, n = region.p, region.n
-    if region.is_product():
-        mask = np.zeros((p,) * n, dtype=np.uint8)
-        rows = [np.array(sorted(a), dtype=np.int64) for a in region.allowed]
-        mask[np.ix_(*rows)] = 1
-        return mask.reshape(-1)
-    mask = np.zeros(p**n, dtype=np.uint8)
-    for point in region.explicit:
-        flat = 0
-        for a in point:
-            flat = flat * p + a
-        mask[flat] = 1
-    return mask
+    mask = np.zeros((p,) * n, dtype=np.uint8)
+    rows = [np.array(sorted(a), dtype=np.int64) for a in region.allowed]
+    mask[np.ix_(*rows)] = 1
+    return mask.reshape(-1)
 
 
 def solution_counts(

@@ -53,18 +53,6 @@ class PrimeField:
     def elements(self) -> range:
         return range(self.p)
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.p)
-
 
 def enumerate_points(field: PrimeField, n: int, budget: int = DEFAULT_BUDGET) -> Iterator[Tuple[int, ...]]:
     """Yield the points of F_p^n in lexicographic order.
@@ -205,6 +193,14 @@ class LocalRingElement:
             raise InsufficientValuation(f"valuation < {k}")
         return LocalRingElement(self.ring, self.payload // q)
 
+    def times_pi(self, k: int) -> "LocalRingElement":
+        """pi^k times the element (k >= 0): p^k in char 0, k zero digits in char p."""
+        if k == 0 or self.is_zero():
+            return self
+        if self.ring.positive_char:
+            return LocalRingElement(self.ring, (0,) * k + self.payload)
+        return LocalRingElement(self.ring, self.payload * self.ring.p**k)
+
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> "LocalRingElement":
@@ -293,14 +289,6 @@ class LocalRingElement:
     def to_json(self):
         """Integer in char 0, digit list in char p."""
         return list(self.payload) if self.ring.positive_char else self.payload
-
-
-def valuation(x: LocalRingElement) -> Union[int, float]:
-    return x.valuation()
-
-
-def divide_by_uniformizer(x: LocalRingElement, k: int) -> LocalRingElement:
-    return x.divide_by_uniformizer(k)
 
 
 class Lifting:

@@ -9,6 +9,7 @@ a given center.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,15 +27,21 @@ INFINITY = math.inf
 class PointClassification:
     """Exhaustive split of a residue region by the reduced hypersurface.
 
-    nonzero counts the residue points where the reduction does not vanish,
-    smooth those where it vanishes to order one (a smooth point of the
-    reduction); singular lists the rest.  total is p^n, so nu and sigma,
+    support is U, the coordinates that occur in the reduction, and fibre the
+    number of residue choices off U (the product of the region's |R_i| for i
+    not in U), which the reduction does not see.  nonzero counts the residue
+    points of the region where the reduction does not vanish and smooth
+    those where it vanishes to order one; singular lists the singular points
+    c_U of the reduction on prod_{i in U} R_i, so the region's singular
+    points are {c_U} x prod_{i not in U} R_i.  total is p^n, so nu and sigma,
     the measures of the first two sets, are nonzero/total and smooth/total.
     """
 
     nonzero: int
     smooth: int
+    support: Tuple[int, ...]
     singular: List[Tuple[int, ...]]
+    fibre: int
     total: int
 
     @property
@@ -49,29 +56,37 @@ class PointClassification:
 def classify_points(
     f: MultiPoly, region: ResidueRegion, budget: int = DEFAULT_BUDGET
 ) -> PointClassification:
-    """Classify every residue point of the region against the reduction of f.
+    """Classify the residue points of the region against the reduction of f.
 
-    Requires unit content (so the reduction is defined and nonzero).  The
-    reduction is evaluated on all points at once, one monomial at a time,
+    Requires unit content (so the reduction is defined and nonzero).  Only
+    the points of prod_{i in U} R_i are enumerated, U the support of the
+    reduction, and the counts are multiplied by the fibre off U.  The
+    reduction is evaluated on all of them at once, one monomial at a time,
     from per-coordinate tables of x^k mod p for the exponents k that occur;
-    the gradient is evaluated the same way on the zeros only.  Singular
-    points come out in the region's point order.
+    the gradient on U is evaluated the same way on the zeros only.  Singular
+    points come out in lexicographic order.  The budget still bounds p^n.
     """
     p, n = region.p, region.n
     if p**n > budget:
         raise BudgetExceeded(f"{p}^{n} residue points exceed budget {budget}")
     fbar = f.reduce_mod_pi()
+    support = tuple(i for i in range(n) if any(e[i] for e in fbar.terms))
+    fbar = ResiduePoly(
+        p, len(support), {tuple(e[i] for i in support): c for e, c in fbar.terms.items()}
+    )
     grad = fbar.gradient()
-    powers = _power_tables([fbar] + grad, p, n)
-    points = list(region.points(budget))
+    powers = _power_tables([fbar] + grad, p, len(support))
+    points = list(itertools.product(*(sorted(region.allowed[i]) for i in support)))
+    fibre = math.prod(len(region.allowed[i]) for i in range(n) if i not in support)
     values = _evaluate_at(fbar, powers, points)
     zeros = [point for point, v in zip(points, values) if v == 0]
     slopes = [_evaluate_at(g, powers, zeros) for g in grad]
     singular = [point for point, *ds in zip(zeros, *slopes) if not any(ds)]
-    if len(points) != region.card():
+    if len(points) * fibre != region.card():
         raise InvariantViolation("point classification does not partition the region")
     return PointClassification(
-        len(points) - len(zeros), len(zeros) - len(singular), singular, p**n
+        (len(points) - len(zeros)) * fibre, (len(zeros) - len(singular)) * fibre,
+        support, singular, fibre, p**n,
     )
 
 

@@ -207,34 +207,39 @@ class MultiPoly:
     def substitute_affine(
         self, center: Sequence[LocalRingElement], scale: Sequence[int]
     ) -> "MultiPoly":
-        """Exact expansion of f(center_1 + pi^{m_1} x_1, ..., center_n + pi^{m_n} x_n)."""
+        """Exact expansion of f(center_1 + pi^{m_1} x_1, ..., center_n + pi^{m_n} x_n).
+
+        A coordinate with zero center turns x_i^k into pi^(m_i k) x_i^k, so
+        per term those powers add up to one pi-shift of the coefficient;
+        only coordinates with a nonzero center expand binomially.
+        """
         if len(center) != self.n or len(scale) != self.n:
             raise ValueError("center/scale length mismatch")
         ring = self.ring
-        pis = [ring.pi(m) if m else ring.one() for m in scale]
+        at_zero = [i for i in range(self.n) if center[i].is_zero()]
+        off_zero = [i for i in range(self.n) if not center[i].is_zero()]
         acc: Dict[Exponents, LocalRingElement] = {}
         for e, c in self.terms.items():
-            # Per-variable rows of (center + pi^m x)^k, then an n-fold product.
-            partial: Dict[Exponents, LocalRingElement] = {(): c}
-            for i, k in enumerate(e):
-                a, b = center[i], pis[i]
+            shift = sum(scale[i] * e[i] for i in at_zero)
+            partial: Dict[Exponents, LocalRingElement] = {e: c.times_pi(shift)}
+            # Per variable off zero, the row of (center + pi^m x)^k replaces x^k.
+            for i in off_zero:
+                k = e[i]
                 if k == 0:
-                    row = {0: ring.one()}
-                elif a.is_zero():
-                    row = {k: b**k}
-                else:
-                    row = {}
-                    for j in range(k + 1):
-                        coef = ring.from_int(math.comb(k, j)) * a ** (k - j) * b**j
-                        if not coef.is_zero():
-                            row[j] = coef
+                    continue
+                a, m = center[i], scale[i]
+                row = {}
+                for j in range(k + 1):
+                    coef = (ring.from_int(math.comb(k, j)) * a ** (k - j)).times_pi(m * j)
+                    if not coef.is_zero():
+                        row[j] = coef
                 nxt: Dict[Exponents, LocalRingElement] = {}
                 for exps, v in partial.items():
                     for j, coef in row.items():
                         w = v * coef
                         if w.is_zero():
                             continue
-                        key = exps + (j,)
+                        key = exps[:i] + (j,) + exps[i + 1 :]
                         prev = nxt.get(key)
                         w = w if prev is None else prev + w
                         if w.is_zero():

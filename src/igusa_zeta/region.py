@@ -2,8 +2,8 @@
 
 Three kinds of sets appear in the computation:
 
-* residue regions: preimages of subsets of F_p^n under reduction mod pi,
-  kept either in per-coordinate product form or as an explicit point set;
+* residue regions: preimages under reduction mod pi of products
+  R_1 x ... x R_n of subsets of F_p (every region the engine meets is one);
 * polydiscs A_r = { v(x_i) >= r_i };
 * valuation cells D(B, a) = { v(x_i) = a_i for i in B } with 0 <= a_i < r_i,
   whose signed combination represents the complement of a polydisc.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterator, List, Sequence, Tuple
 
 from .coeff import DEFAULT_BUDGET
 from .errors import BudgetExceeded
@@ -25,25 +25,16 @@ from .poly import MultiPoly
 
 
 class ResidueRegion:
-    """Preimage in O_K^n of a subset of F_p^n."""
+    """Preimage in O_K^n of a product prod_i R_i of subsets of F_p."""
 
-    __slots__ = ("p", "n", "allowed", "explicit")
+    __slots__ = ("p", "n", "allowed")
 
-    def __init__(
-        self,
-        p: int,
-        n: int,
-        allowed: Optional[Tuple[FrozenSet[int], ...]] = None,
-        explicit: Optional[FrozenSet[Tuple[int, ...]]] = None,
-    ):
-        if (allowed is None) == (explicit is None):
-            raise ValueError("exactly one of product/explicit form required")
-        if allowed is not None and len(allowed) != n:
+    def __init__(self, p: int, n: int, allowed: Tuple[FrozenSet[int], ...]):
+        if len(allowed) != n:
             raise ValueError("allowed sets length mismatch")
         self.p = p
         self.n = n
         self.allowed = allowed
-        self.explicit = explicit
 
     @classmethod
     def full(cls, p: int, n: int) -> "ResidueRegion":
@@ -55,29 +46,16 @@ class ResidueRegion:
         for s in sets:
             if not s <= frozenset(range(p)):
                 raise ValueError("allowed residues outside [0, p)")
-        return cls(p, len(sets), allowed=sets)
-
-    @classmethod
-    def explicit_set(cls, p: int, n: int, points) -> "ResidueRegion":
-        pts = frozenset(tuple(q) for q in points)
-        for q in pts:
-            if len(q) != n or not all(0 <= a < p for a in q):
-                raise ValueError(f"bad point {q}")
-        return cls(p, n, explicit=pts)
-
-    def is_product(self) -> bool:
-        return self.allowed is not None
+        return cls(p, len(sets), sets)
 
     def is_full(self) -> bool:
-        return self.is_product() and all(len(a) == self.p for a in self.allowed)
+        return all(len(a) == self.p for a in self.allowed)
 
     def card(self) -> int:
-        if self.is_product():
-            c = 1
-            for a in self.allowed:
-                c *= len(a)
-            return c
-        return len(self.explicit)
+        c = 1
+        for a in self.allowed:
+            c *= len(a)
+        return c
 
     def measure(self) -> Fraction:
         """Haar measure; O_K^n itself has measure one."""
@@ -86,34 +64,26 @@ class ResidueRegion:
     def points(self, budget: int = DEFAULT_BUDGET) -> Iterator[Tuple[int, ...]]:
         if self.p**self.n > budget:
             raise BudgetExceeded(f"{self.p}^{self.n} exceeds budget {budget}")
-        if self.is_product():
-            return itertools.product(*(sorted(a) for a in self.allowed))
-        return iter(sorted(self.explicit))
+        return itertools.product(*(sorted(a) for a in self.allowed))
 
     def contains(self, point: Tuple[int, ...]) -> bool:
-        if self.is_product():
-            return all(a in s for a, s in zip(point, self.allowed))
-        return tuple(point) in self.explicit
+        return all(a in s for a, s in zip(point, self.allowed))
 
     def key(self):
-        if self.is_product():
-            return (self.p, self.n, tuple(tuple(sorted(a)) for a in self.allowed))
-        return (self.p, self.n, tuple(sorted(self.explicit)))
+        return (self.p, self.n, tuple(tuple(sorted(a)) for a in self.allowed))
 
     def describe(self) -> str:
         if self.is_full():
             return "full"
-        if self.is_product():
-            parts = []
-            for a in self.allowed:
-                if len(a) == self.p:
-                    parts.append("*")
-                elif a == frozenset(range(1, self.p)):
-                    parts.append("units")
-                else:
-                    parts.append("{" + ",".join(map(str, sorted(a))) + "}")
-            return "x".join(parts)
-        return f"explicit[{len(self.explicit)}]"
+        parts = []
+        for a in self.allowed:
+            if len(a) == self.p:
+                parts.append("*")
+            elif a == frozenset(range(1, self.p)):
+                parts.append("units")
+            else:
+                parts.append("{" + ",".join(map(str, sorted(a))) + "}")
+        return "x".join(parts)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ResidueRegion) and self.key() == other.key()

@@ -7,20 +7,18 @@ One step of the formula splits the integral over a residue region into
 * the smooth zero classes, each contributing the closed geometric factor
   (1 - q^(-1)) t / (1 - q^(-1) t) times their mass, and
 * dilatations covering the singular zero classes, each recursing with
-  weight q^(-|S|) t^e, where S is the set of coordinates it rescales.
+  weight q^(-|U|) t^e, where U is the set of coordinates it rescales.
 
-On a product region the singular points are first tested for a box: let S
-be the coordinates on which they all agree, with common value c_S.  If S is
-nonempty and the singular set is all of {c_S} x prod_{i not in S} R_i, one
-dilatation x_i -> c_i + pi x_i (i in S, other coordinates unchanged) covers
-every singular class, with scaling vector 1 on S and 0 off it, and recurses
-over the region that is full on S and R_i off it.  Otherwise (explicit
-regions, S empty, or a singular set that is not a box) each singular point
-gets its own dilatation with scaling vector (1, ..., 1) over the full
-space; a single point is a box with S = everything, so the two rules agree
-there.  Termination is guaranteed for regions bounded away from an isolated
-singularity, so the depth cap is a diagnostic for violated hypotheses
-rather than a tolerance.
+The singular zero classes come as boxes.  Let U be the coordinates that
+occur in the reduction f-bar.  Off U the reduction does not see the residue,
+so the region's singular points are Sing_U x prod_{i not in U} R_i, where
+Sing_U is the singular set of f-bar on prod_{i in U} R_i (classify_points
+enumerates only that product).  Each c_U in Sing_U gets one dilatation
+x_i -> c_i + pi x_i (i in U, other coordinates unchanged), with scaling
+vector 1 on U and 0 off it, weight q^(-|U|) t^e, and a child region that is
+full on U and R_i off it.  Termination is guaranteed for regions bounded
+away from an isolated singularity, so the depth cap is a diagnostic for
+violated hypotheses rather than a tolerance.
 
 Unrolled, the value over a region is a finite sum over its tree.  A node
 with accumulated content E and S rescaled coordinates, on which a residue
@@ -204,55 +202,28 @@ def _spf(
         tally_add(tally, (e_accum, n + s_accum), cls.nonzero, cls.smooth)
     node = DilatationNode(
         center, m, e_in, e_accum, s_accum, depth, cls.nu, cls.sigma,
-        len(cls.singular), region.describe(),
+        len(cls.singular) * cls.fibre, region.describe(),
     )
     ctx.nodes += 1
     if cls.singular:
         lifting = cfg.lifting if cfg.lifting is not None else Lifting(f.ring)
-        found = _singular_box(region, cls.singular)
-        # a point that is not part of a larger box is a box with S = everything
-        boxes = [found] if found is not None else [dict(enumerate(q)) for q in cls.singular]
+        support = cls.support
         zero = f.ring.zero()
-        for box in boxes:
-            # x_i = c_i + pi y_i on S maps the child region onto the union
-            # of the box's singular classes, with Jacobian q^(-|S|)
-            c_box = tuple(lifting[box[i]] if i in box else zero for i in range(n))
-            scaling = tuple(int(i in box) for i in range(n))
-            child_region = ResidueRegion.product(
-                p, [range(p) if i in box else region.allowed[i] for i in range(n)]
-            )
+        # x_i = c_i + pi y_i on U maps the child region onto the singular
+        # classes {c_U} x prod_{i not in U} R_i, with Jacobian q^(-|U|)
+        scaling = tuple(int(i in support) for i in range(n))
+        child_region = ResidueRegion.product(
+            p, [range(p) if i in support else region.allowed[i] for i in range(n)]
+        )
+        for point in cls.singular:
+            c_u = dict(zip(support, point))
+            c_box = tuple(lifting[c_u[i]] if i in c_u else zero for i in range(n))
             f_desc, e_desc = dilate(f, c_box, scaling)
             node.children.append(_spf(
-                f_desc, child_region, depth + 1, e_accum + e_desc, s_accum + len(box),
+                f_desc, child_region, depth + 1, e_accum + e_desc, s_accum + len(support),
                 c_box, scaling, e_desc, ctx, tally,
             ))
     return node
-
-
-def _singular_box(
-    region: ResidueRegion, singular: List[Tuple[int, ...]]
-) -> Optional[Dict[int, int]]:
-    """The common values {i: c_i} on S when the singular set is a box.
-
-    S is the set of coordinates on which every singular point agrees.  On a
-    product region the singular set is exactly {c_S} x prod_{i not in S} R_i
-    when its size is that product's, since every singular point lies in the
-    region.  Returns None for explicit regions, for S empty and for singular
-    sets that are not boxes.
-    """
-    if not region.is_product():
-        return None
-    first = singular[0]
-    common = {
-        i: first[i] for i in range(region.n) if all(q[i] == first[i] for q in singular)
-    }
-    if not common:
-        return None
-    size = 1
-    for i, allowed in enumerate(region.allowed):
-        if i not in common:
-            size *= len(allowed)
-    return common if len(singular) == size else None
 
 
 def series_check(

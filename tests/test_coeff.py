@@ -11,7 +11,6 @@ from igusa_zeta import (
     PrimeField,
     enumerate_points,
 )
-from igusa_zeta.coeff import divide_by_uniformizer, valuation
 
 Z5 = LocalRing(5)
 Z3 = LocalRing(3)
@@ -29,28 +28,37 @@ def test_prime_field_validation():
 
 
 def test_valuation_char0():
-    assert valuation(Z5.from_int(75)) == 2
-    assert valuation(Z5.from_int(0)) == math.inf
-    assert valuation(Z5.from_int(3)) == 0
-    assert valuation(Z5.from_int(-250)) == 3
+    assert Z5.from_int(75).valuation() == 2
+    assert Z5.from_int(0).valuation() == math.inf
+    assert Z5.from_int(3).valuation() == 0
+    assert Z5.from_int(-250).valuation() == 3
 
 
 def test_valuation_charp():
     x = F3PI.from_digits((0, 0, 1, 2))  # pi^2 + 2 pi^3
-    assert valuation(x) == 2
-    assert valuation(F3PI.zero()) == math.inf
-    assert valuation(F3PI.one()) == 0
+    assert x.valuation() == 2
+    assert F3PI.zero().valuation() == math.inf
+    assert F3PI.one().valuation() == 0
 
 
 def test_divide_by_uniformizer():
-    assert divide_by_uniformizer(Z5.from_int(75), 2) == Z5.from_int(3)
-    assert divide_by_uniformizer(Z5.zero(), 7) == Z5.zero()
+    assert Z5.from_int(75).divide_by_uniformizer(2) == Z5.from_int(3)
+    assert Z5.zero().divide_by_uniformizer(7) == Z5.zero()
     with pytest.raises(InsufficientValuation):
-        divide_by_uniformizer(Z5.from_int(5), 2)
+        Z5.from_int(5).divide_by_uniformizer(2)
     x = F5PI.from_digits((0, 0, 2))
-    assert divide_by_uniformizer(x, 2) == F5PI.from_int(2)
+    assert x.divide_by_uniformizer(2) == F5PI.from_int(2)
     with pytest.raises(InsufficientValuation):
-        divide_by_uniformizer(F5PI.pi(1), 2)
+        F5PI.pi(1).divide_by_uniformizer(2)
+
+
+def test_times_pi():
+    assert Z5.from_int(3).times_pi(2) == Z5.from_int(75)
+    assert Z5.from_int(-2).times_pi(0) == Z5.from_int(-2)
+    assert Z5.zero().times_pi(4) == Z5.zero()
+    x = F5PI.from_digits((2, 0, 1))
+    assert x.times_pi(3) == x * F5PI.pi(3) == F5PI.from_digits((0, 0, 0, 2, 0, 1))
+    assert F5PI.zero().times_pi(2) == F5PI.zero()
 
 
 def test_enumerate_points():

@@ -51,18 +51,16 @@ def test_classify_unit_constant():
     assert cls.sigma == 0 and cls.singular == []
 
 
-def test_classify_partition_random():
-    rng = random.Random(3)
-    for _ in range(30):
-        f = random_poly(Z3, 2, rng)
-        if f.content_valuation() > 0:
-            continue
-        allowed = [
-            frozenset(rng.sample(range(3), rng.randint(1, 3))) for _ in range(2)
-        ]
-        region = ResidueRegion.product(3, allowed)
-        cls = classify_points(f, region)
-        assert cls.nu + cls.sigma + Fraction(len(cls.singular), 9) == region.measure()
+def expand_singular(cls, region):
+    """The region's singular points {c_U} x prod_{i not in U} R_i, in region order."""
+    factors = [sorted(allowed) for allowed in region.allowed]
+    points = []
+    for c_u in cls.singular:
+        rows = list(factors)
+        for i, c in zip(cls.support, c_u):
+            rows[i] = [c]
+        points.extend(itertools.product(*rows))
+    return sorted(points)
 
 
 def reference_classify(f, region):
@@ -81,32 +79,74 @@ def reference_classify(f, region):
     return Fraction(nonvanishing, total), Fraction(smooth, total), singular
 
 
+def assert_matches_reference(f, region):
+    cls = classify_points(f, region)
+    assert (cls.nu, cls.sigma, expand_singular(cls, region)) == reference_classify(f, region)
+    assert len(cls.singular) * cls.fibre == len(expand_singular(cls, region))
+    fbar = f.reduce_mod_pi()
+    assert cls.support == tuple(i for i in range(f.n) if any(e[i] for e in fbar.terms))
+
+
+def missing_coordinate(f, rng):
+    """f with every term in one random coordinate times p: the reduction misses it."""
+    i = rng.randrange(f.n)
+    pi = f.ring.pi(1)
+    return MultiPoly(f.ring, f.n, {e: c * pi if e[i] else c for e, c in f.terms.items()})
+
+
+def test_classify_partition_random():
+    rng = random.Random(3)
+    for case in range(60):
+        f = random_poly(Z3, 2, rng)
+        if case % 2:
+            f = missing_coordinate(f, rng)
+        if f.content_valuation() > 0:
+            continue
+        allowed = [
+            frozenset(rng.sample(range(3), rng.randint(1, 3))) for _ in range(2)
+        ]
+        region = ResidueRegion.product(3, allowed)
+        cls = classify_points(f, region)
+        assert cls.nu + cls.sigma + Fraction(len(cls.singular) * cls.fibre, 9) == region.measure()
+        assert_matches_reference(f, region)
+
+
+def test_classify_on_support_only():
+    # x^2 in three variables at p = 5: U = {x}, one singular point on it,
+    # which stands for the 25 singular points {0} x F_5 x F_5
+    cls = classify_points(parse("x^2", Z5, n_hint=3), ResidueRegion.full(5, 3))
+    assert (cls.support, cls.singular, cls.fibre) == ((0,), [(0,)], 25)
+    assert (cls.nonzero, cls.smooth) == (100, 0)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_classify_matches_pointwise_evaluation(p):
     # exponents run past p, so x^k and x^(k mod (p-1)) tables must agree
     rng = random.Random(p)
     ring = LocalRing(p)
     for n in (1, 2, 3):
-        for _ in range(6):
+        for case in range(12):
             terms = {
                 tuple(rng.randint(0, 2 * p + 1) for _ in range(n)): rng.randint(1, 3 * p)
                 for _ in range(rng.randint(1, 4))
             }
             terms[tuple(rng.randint(0, 2 * p + 1) for _ in range(n))] = 1
             f = MultiPoly.from_int_terms(ring, n, terms)
-            points = list(itertools.product(range(p), repeat=n))
+            if case % 2:
+                f = missing_coordinate(f, rng)
+                if f.content_valuation() > 0:
+                    continue
             regions = [
                 ResidueRegion.full(p, n),
                 ResidueRegion.product(
                     p, [rng.sample(range(p), rng.randint(1, p)) for _ in range(n)]
                 ),
-                ResidueRegion.explicit_set(
-                    p, n, rng.sample(points, rng.randint(0, len(points)))
+                ResidueRegion.product(
+                    p, [rng.sample(range(p), rng.randint(1, p)) for _ in range(n)]
                 ),
             ]
             for region in regions:
-                cls = classify_points(f, region)
-                assert (cls.nu, cls.sigma, cls.singular) == reference_classify(f, region)
+                assert_matches_reference(f, region)
 
 
 def test_classify_budget():

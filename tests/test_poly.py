@@ -220,6 +220,38 @@ def test_substitute_composition_law():
             assert step == once
 
 
+def test_substitute_affine_matches_evaluation():
+    # g(x) == f(c + pi^m x) at random points, with centres that mix zero and
+    # nonzero coordinates, checked through evaluate only
+    rng = random.Random(37)
+    for ring in (Z5, F5PI):
+        for _ in range(40):
+            if ring.positive_char:
+                f = MultiPoly(ring, 3, {
+                    tuple(rng.randint(0, 4) for _ in range(3)): ring.from_digits(
+                        [rng.randint(0, 4) for _ in range(3)]
+                    )
+                    for _ in range(rng.randint(1, 4))
+                })
+                if f.is_zero():
+                    continue
+
+                def element():
+                    return ring.from_digits([rng.randint(0, 4) for _ in range(3)])
+            else:
+                f = random_poly(ring, 3, rng, max_exp=4)
+
+                def element():
+                    return ring.from_int(rng.randint(-30, 30))
+            center = tuple(ring.zero() if rng.random() < 0.5 else element() for _ in range(3))
+            m = tuple(rng.randint(0, 3) for _ in range(3))
+            g = f.substitute_affine(center, m)
+            for _ in range(4):
+                x = tuple(element() for _ in range(3))
+                shifted = tuple(c + ring.pi(k) * xi for c, k, xi in zip(center, m, x))
+                assert g.evaluate(x) == f.evaluate(shifted)
+
+
 def test_substitute_charp():
     f = parse("x^2 + y^3", F5PI)
     zero = (F5PI.zero(), F5PI.zero())

@@ -23,7 +23,7 @@ def test_measure():
     assert ResidueRegion.full(5, 3).measure() == 1
     units_all = ResidueRegion.product(5, [frozenset(range(1, 5)), frozenset(range(5))])
     assert units_all.measure() == Fraction(4, 5)
-    pts = ResidueRegion.explicit_set(5, 2, [(0, 0), (1, 2), (3, 3)])
+    pts = ResidueRegion.product(5, [frozenset({0, 1, 3}), frozenset({2})])
     assert pts.measure() == Fraction(3, 25)
 
 
@@ -31,8 +31,8 @@ def test_region_points_and_contains():
     reg = ResidueRegion.product(3, [frozenset({1, 2}), frozenset({0})])
     assert list(reg.points()) == [(1, 0), (2, 0)]
     assert reg.contains((2, 0)) and not reg.contains((0, 0))
-    exp = ResidueRegion.explicit_set(3, 1, [(2,), (0,)])
-    assert list(exp.points()) == [(0,), (2,)]
+    unsorted = ResidueRegion.product(3, [[2, 0]])
+    assert list(unsorted.points()) == [(0,), (2,)]
 
 
 def test_polydisc_validation():

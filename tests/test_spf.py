@@ -202,8 +202,8 @@ def test_box_child_keeps_the_region_off_S():
 
 
 def test_isolated_singular_points_dilate_one_by_one():
-    # x^2 + y^2 (y - 1)^2 + 5: singular reduction points (0, 0) and (0, 1)
-    # agree on x but are not a box, so each gets its own dilatation
+    # x^2 + y^2 (y - 1)^2 + 5: the reduction uses x and y, so its singular
+    # points (0, 0) and (0, 1) each get their own dilatation
     f = parse("x^2+y^4-2*y^3+y^2+5", Z5)
     Z, trace = spf_zeta(f, ResidueRegion.full(5, 2))
     children = trace.root.children
@@ -212,26 +212,33 @@ def test_isolated_singular_points_dilate_one_by_one():
     assert series_check(f, ResidueRegion.full(5, 2), Z, 3)
 
 
-def test_explicit_region_dilates_point_by_point():
-    # the same box, given as an explicit point set, is not merged
-    f = parse("x^2+5*y^5+25", Z5)
-    explicit = ResidueRegion.explicit_set(5, 2, [(0, y) for y in range(5)])
-    product = ResidueRegion.product(5, [frozenset({0}), frozenset(range(5))])
-    Z_explicit, trace = spf_zeta(f, explicit)
-    Z_product, product_trace = spf_zeta(f, product)
-    assert len(trace.root.children) == 5
-    assert all(child.m == (1, 1) for child in trace.root.children)
-    assert len(product_trace.root.children) == 1
-    assert Z_explicit == Z_product
+@pytest.mark.parametrize("text", ["x^4-2*x^3+x^2+5*y", "x^4-2*x^3+x^2+5*y+5*z^3"])
+def test_singular_points_on_the_support_dilate_as_boxes(text):
+    # the reduction x^2 (x - 1)^2 misses y (and z), and is singular at x = 0
+    # and x = 1: two boxes {c} x F_5^(n-1), one dilatation x -> c + pi x
+    # each, where one dilatation per residue point made 10 (n = 2) and 50
+    # (n = 3) children
+    f = parse(text, Z5)
+    region = ResidueRegion.full(5, f.n)
+    Z, trace = spf_zeta(f, region)
+    root = trace.root
+    assert root.singular_count == 2 * 5 ** (f.n - 1)
+    assert [child.m for child in root.children] == [(1,) + (0,) * (f.n - 1)] * 2
+    assert [child.center[0].reduce() for child in root.children] == [0, 1]
+    assert all(child.S_accum == 1 and child.region == "full" for child in root.children)
+    assert trace.stats["nodes"] == 3
+    assert Z == RatFun(5, (Fraction(3, 5), Fraction(1, 5)), ((1, 1),))
+    assert series_check(f, region, Z, 3)
 
 
 @pytest.mark.parametrize("text, ring, nodes", [
     ("x^2+121*y^5", LocalRing(11), 26),
     ("x^3+y^5+x^2*y^2", LocalRing(7), 148),
+    ("x^2+2*y^2+z^3+x*y*z", LocalRing(5), 272),
 ])
 def test_box_dilatation_node_counts(text, ring, nodes):
     # one dilatation per box instead of one per point (14807 and 11660 nodes
-    # with per-point dilatations)
+    # with per-point dilatations for the two curves)
     _, report = zeta_semiquasihomogeneous(parse(text, ring))
     assert report.tree_stats["nodes"] == nodes
 
