@@ -8,7 +8,7 @@ supported (prime residue field).  Results are cross-validated against
 exhaustive congruence counting through the Poincare series.
 """
 
-from .coeff import Lifting, LocalRing, LocalRingElement, PrimeField, enumerate_points
+from .coeff import Lifting, LocalRing, LocalRingElement
 from .errors import (
     BudgetExceeded,
     DepthExceeded,
@@ -71,7 +71,6 @@ __all__ = [
     "PoincareSeries",
     "Polydisc",
     "PolynomialSyntaxError",
-    "PrimeField",
     "RatFun",
     "ResiduePoly",
     "ResidueRegion",
@@ -90,7 +89,6 @@ __all__ = [
     "complement_cells",
     "detect_weights",
     "dilate",
-    "enumerate_points",
     "two_term_closed_form",
     "l_measure",
     "limit_cells",

@@ -15,12 +15,10 @@ Both representations are exact; nothing in this package is floating point.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
-from .errors import BudgetExceeded, InsufficientValuation
+from .errors import InsufficientValuation
 
 INFINITY = math.inf
 
@@ -38,30 +36,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """The residue field F_p (q = p throughout; see package docs)."""
-
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-
-    def elements(self) -> range:
-        return range(self.p)
-
-
-def enumerate_points(field: PrimeField, n: int, budget: int = DEFAULT_BUDGET) -> Iterator[Tuple[int, ...]]:
-    """Yield the points of F_p^n in lexicographic order.
-
-    Raises BudgetExceeded up front when p^n exceeds ``budget``.
-    """
-    if field.p**n > budget:
-        raise BudgetExceeded(f"{field.p}^{n} points exceed budget {budget}")
-    return itertools.product(field.elements(), repeat=n)
 
 
 # Digit-tuple helpers for the characteristic-p representation.  A value is a
@@ -97,10 +71,11 @@ def _digit_mul(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> Tuple[int, ...
 class LocalRing:
     """O_K for one of the two supported fields, fixed prime residue field F_p."""
 
-    __slots__ = ("p", "positive_char", "field")
+    __slots__ = ("p", "positive_char")
 
     def __init__(self, p: int, positive_char: bool = False):
-        self.field = PrimeField(p)
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         self.p = p
         self.positive_char = positive_char
 
@@ -315,6 +290,3 @@ class Lifting:
 
     def __getitem__(self, a: int) -> LocalRingElement:
         return self.table[a % self.ring.p]
-
-    def lift_point(self, point: Tuple[int, ...]) -> Tuple[LocalRingElement, ...]:
-        return tuple(self[a] for a in point)

@@ -81,11 +81,6 @@ class MultiPoly:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def key(self):
-        """Hashable canonical form (used as a memoization key)."""
-        items = tuple(sorted((e, self.terms[e].payload) for e in self.terms))
-        return (self.ring.p, self.ring.positive_char, self.n, items)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiPoly)
@@ -93,9 +88,6 @@ class MultiPoly:
             and self.n == other.n
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash(self.key())
 
     # -- arithmetic ----------------------------------------------------------
 

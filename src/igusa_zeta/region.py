@@ -69,9 +69,6 @@ class ResidueRegion:
     def contains(self, point: Tuple[int, ...]) -> bool:
         return all(a in s for a, s in zip(point, self.allowed))
 
-    def key(self):
-        return (self.p, self.n, tuple(tuple(sorted(a)) for a in self.allowed))
-
     def describe(self) -> str:
         if self.is_full():
             return "full"
@@ -84,12 +81,6 @@ class ResidueRegion:
             else:
                 parts.append("{" + ",".join(map(str, sorted(a))) + "}")
         return "x".join(parts)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ResidueRegion) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         return f"ResidueRegion({self.describe()}, p={self.p}, n={self.n})"

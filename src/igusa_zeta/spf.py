@@ -99,7 +99,7 @@ class SpfContext:
             "spf_calls": self.calls,
             "nodes": self.nodes,
             "max_depth": self.max_depth_seen,
-            # kept for readers of tree_stats; there is no node cache
+            # always 0 (there is no node cache); zetabench/tracer.py reads the key
             "cache_hits": 0,
         }
 

@@ -8,8 +8,7 @@ from igusa_zeta import (
     InsufficientValuation,
     Lifting,
     LocalRing,
-    PrimeField,
-    enumerate_points,
+    ResidueRegion,
 )
 
 Z5 = LocalRing(5)
@@ -19,12 +18,12 @@ F5PI = LocalRing(5, positive_char=True)
 
 
 def test_prime_field_validation():
-    PrimeField(2)
-    PrimeField(13)
+    LocalRing(2)
+    LocalRing(13, positive_char=True)
     with pytest.raises(ValueError):
-        PrimeField(1)
+        LocalRing(1)
     with pytest.raises(ValueError):
-        PrimeField(9)
+        LocalRing(9)
 
 
 def test_valuation_char0():
@@ -62,13 +61,13 @@ def test_times_pi():
 
 
 def test_enumerate_points():
-    assert list(enumerate_points(PrimeField(2), 1)) == [(0,), (1,)]
-    pts = list(enumerate_points(PrimeField(3), 2))
+    assert list(ResidueRegion.full(2, 1).points()) == [(0,), (1,)]
+    pts = list(ResidueRegion.full(3, 2).points())
     assert len(pts) == 9
     assert pts[0] == (0, 0) and pts[-1] == (2, 2)
     assert len(set(pts)) == 9
     with pytest.raises(BudgetExceeded):
-        enumerate_points(PrimeField(2), 64)
+        ResidueRegion.full(2, 64).points()
 
 
 def test_reduce_and_lift():
