@@ -9,13 +9,12 @@ recursive engine.
 
 Points are stored as residues mod p^j (characteristic 0, shape (N, n)) or as
 pi-adic digit rows (characteristic p, shape (N, n, j), in the narrowest
-unsigned dtype that holds p - 1).  ``exps`` is a (k, n)
-int64 matrix of exponent rows, one per term.  Characteristic 0 passes the
-coefficients as Python ints; characteristic p passes a (k, levels) int64
-matrix of pi-adic digit rows.  The optional residue mask is a flat uint8
-array over F_p^n (row-major, first coordinate most significant) restricting
-points by their reduction; it is applied once, to the level-1 candidates,
-because every lift keeps its reduction.
+unsigned dtype that holds p - 1).  Callers pass plain Python data, so that
+numpy is imported with this module only: one exponent tuple per term, and
+per term a Python int (characteristic 0) or a list of pi-adic digits
+(characteristic p).  The optional ``allowed`` residue sets restrict points
+by their reduction (coordinate i reduces into allowed[i]); they are applied
+once, to the level-1 candidates, because every lift keeps its reduction.
 """
 
 from __future__ import annotations
@@ -33,21 +32,33 @@ _SLICE = 1 << 18
 _INT64_SAFE = isqrt(np.iinfo(np.int64).max)
 
 
-def lift_counts(exps, coeffs, p: int, levels: int, positive_char: bool, mask, budget: int) -> List[int]:
-    """N_0..N_levels (N_0 = 1), restricted to the residue mask if one is given.
+def lift_counts(
+    terms, coeffs, n: int, p: int, levels: int, positive_char: bool, allowed, budget: int
+) -> List[int]:
+    """N_0..N_levels (N_0 = 1), restricted to the allowed residues if given.
 
     Raises BudgetExceeded, before allocating for it, at a level whose
     N_(j-1) p^n lifting candidates exceed ``budget``; the survivors kept for
     the next level therefore never exceed budget / p^n rows.
     """
-    n = exps.shape[1]
     size = p**n
     if levels < 1:
         return [1]
     if size > budget:
         raise BudgetExceeded(f"level 1: {p}^{n} lifting candidates exceed budget {budget}")
+    exps = np.array(terms, dtype=np.int64).reshape(len(terms), n)
+    if positive_char:
+        digits = np.zeros((len(terms), levels), dtype=np.int64)
+        for row, payload in enumerate(coeffs):
+            digits[row, : len(payload)] = payload[:levels]
+        coeffs = digits
     grid = np.indices((p,) * n, dtype=np.int64).reshape(n, -1).T  # F_p^n, row-major
-    first = grid if mask is None else grid[np.asarray(mask) != 0]
+    first = grid
+    if allowed is not None:
+        keep = np.ones(len(grid), dtype=bool)
+        for i, residues in enumerate(allowed):
+            keep &= np.isin(grid[:, i], sorted(residues))
+        first = grid[keep]
     store = np.min_scalar_type(p - 1) if positive_char else np.int64
     chunks = [np.zeros((1, n, 0) if positive_char else (1, n), dtype=store)]
     step = max(1, _SLICE // size)

@@ -14,9 +14,6 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
-import numpy as np
-
-from . import _kernels
 from .coeff import DEFAULT_BUDGET, LocalRing, LocalRingElement
 from .errors import InvalidParameters, InvariantViolation
 from .poly import MultiPoly
@@ -25,16 +22,6 @@ from .region import ResidueRegion
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sqh import WeightSystem
-
-
-def _region_mask(region: Optional[ResidueRegion]) -> Optional[np.ndarray]:
-    if region is None or region.is_full():
-        return None
-    p, n = region.p, region.n
-    mask = np.zeros((p,) * n, dtype=np.uint8)
-    rows = [np.array(sorted(a), dtype=np.int64) for a in region.allowed]
-    mask[np.ix_(*rows)] = 1
-    return mask.reshape(-1)
 
 
 def solution_counts(
@@ -48,18 +35,15 @@ def solution_counts(
     One lifting pass counts every level.  ``budget`` caps the lifting
     candidates N_(j-1) p^n of each level (BudgetExceeded beyond it).
     """
-    ring, n = f.ring, f.n
+    from . import _kernels  # numpy is loaded by the first count, not by the engine
+
+    ring = f.ring
     terms = sorted(f.terms)
-    exps = np.array(terms, dtype=np.int64).reshape(len(terms), n)
-    if ring.positive_char:
-        coeffs = np.zeros((len(terms), levels), dtype=np.int64)
-        for row, e in enumerate(terms):
-            payload = f.terms[e].payload[:levels]
-            coeffs[row, : len(payload)] = payload
-    else:
-        coeffs = [f.terms[e].payload for e in terms]
-    mask = _region_mask(region)
-    return _kernels.lift_counts(exps, coeffs, ring.p, levels, ring.positive_char, mask, budget)
+    coeffs = [f.terms[e].payload for e in terms]
+    allowed = None if region is None or region.is_full() else region.allowed
+    return _kernels.lift_counts(
+        terms, coeffs, f.n, ring.p, levels, ring.positive_char, allowed, budget
+    )
 
 
 def congruence_count(

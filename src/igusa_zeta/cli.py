@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from math import gcd
 from typing import Optional
 
@@ -43,7 +44,9 @@ EXIT_CODES = (
 )
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by later ones."""
     parser = argparse.ArgumentParser(
         prog="igusa-zeta",
         description="exact Igusa local zeta functions of semiquasihomogeneous polynomials",

@@ -5,11 +5,11 @@ Three kinds of sets appear in the computation:
 * residue regions: preimages under reduction mod pi of products
   R_1 x ... x R_n of subsets of F_p (every region the engine meets is one);
 * polydiscs A_r = { v(x_i) >= r_i };
-* valuation cells D(B, a) = { v(x_i) = a_i for i in B } with 0 <= a_i < r_i,
-  whose signed combination represents the complement of a polydisc.
+* valuation cells { v(x_j) >= m_j for all j, v(x_i) = m_i }, sum(r) of
+  which partition the complement of a polydisc.
 
-A coordinate change pi^{a_i} y_i maps a cell onto a residue region (units on
-the constrained coordinates), which is what the recursive engine consumes.
+The coordinate change x = pi^m o y maps a cell onto a residue region (units
+on coordinate i), which is what the recursive engine consumes.
 """
 
 from __future__ import annotations
@@ -103,83 +103,62 @@ class Polydisc:
 
 @dataclass(frozen=True)
 class ValuationCell:
-    """D(B, a) = { x : v(x_i) = a_i for i in B }, B nonempty.
+    """{ x : v(x_j) >= m_j for every j, v(x_unit) = m_unit }.
 
-    ``constraints`` is the sorted tuple of (coordinate, value) pairs.
+    Under x = pi^m o y the cell is the preimage of the product region with
+    units on coordinate ``unit`` and every residue elsewhere; the Jacobian
+    is q^(-sum m).
     """
 
-    n: int
-    constraints: Tuple[Tuple[int, int], ...]
-
-    def __post_init__(self):
-        if not self.constraints:
-            raise ValueError("empty constraint set gives the empty cell")
-
-    @property
-    def coords(self) -> Tuple[int, ...]:
-        return tuple(i for i, _ in self.constraints)
-
-    def scale_vector(self) -> Tuple[int, ...]:
-        vals = dict(self.constraints)
-        return tuple(vals.get(i, 0) for i in range(self.n))
+    m: Tuple[int, ...]
+    unit: int
 
     def depth_shift(self) -> int:
-        return sum(a for _, a in self.constraints)
+        return sum(self.m)
 
     def measure(self, p: int) -> Fraction:
-        m = Fraction(1)
-        for _, a in self.constraints:
-            m *= Fraction(p - 1, p ** (a + 1))
-        return m
+        return Fraction(p - 1, p ** (self.depth_shift() + 1))
 
     def unit_region(self, p: int) -> ResidueRegion:
-        """The product region requiring units on the constrained coordinates."""
-        coords = set(self.coords)
+        """The product region requiring a unit on the unit coordinate."""
         units, everything = range(1, p), range(p)
         return ResidueRegion.product(
-            p, [units if i in coords else everything for i in range(self.n)]
+            p, [units if i == self.unit else everything for i in range(len(self.m))]
         )
 
-    def describe(self) -> str:
-        return ",".join(f"v(x{i + 1})={a}" for i, a in self.constraints)
 
+def complement_cells(disc: Polydisc) -> List[ValuationCell]:
+    """The sum(r_i) disjoint cells that partition the complement of A_r.
 
-def complement_cells(disc: Polydisc) -> List[Tuple[int, ValuationCell]]:
-    """Signed cells whose indicator functions sum to the indicator of A_r^c.
-
-    A point x outside A_r lies in exactly the cells D(B, a) with B contained
-    in { i : v(x_i) < r_i } and a_i = v(x_i); inclusion-exclusion over that
-    lattice collapses to the family itself with sign (-1)^(|B|+1), since
-    intersections of family members are again members or empty.
+    With the coordinates ordered by decreasing r_i (ties by index), a point
+    outside A_r has a first coordinate i in that order with v(x_i) < r_i; it
+    lies in the cell with unit i and m_i = v(x_i), m_j = r_j for the
+    coordinates j before i and m_j = 0 after it, and in no other.
     """
-    n = disc.n
-    cells: List[Tuple[int, ValuationCell]] = []
-    indices = range(n)
-    for size in range(1, n + 1):
-        sign = 1 if size % 2 == 1 else -1
-        for coords in itertools.combinations(indices, size):
-            for values in itertools.product(*(range(disc.r[i]) for i in coords)):
-                cell = ValuationCell(n, tuple(zip(coords, values)))
-                cells.append((sign, cell))
+    r = disc.r
+    cells: List[ValuationCell] = []
+    m = [0] * disc.n
+    for i in sorted(range(disc.n), key=lambda j: -r[j]):
+        for a in range(r[i]):
+            m[i] = a
+            cells.append(ValuationCell(tuple(m), i))
+        m[i] = r[i]
     return cells
 
 
 def cell_change_of_variables(f: MultiPoly, cell: ValuationCell):
-    """Rewrite the integral over D(B, a) as one over a residue region.
+    """Rewrite the integral over a cell as one over a residue region.
 
-    Substitutes x_i = pi^{a_i} y_i on the constrained coordinates and
-    extracts the content e, so that
+    Substitutes x = pi^m o y and extracts the content e, so that
 
-        integral over D(B,a) of |f|^s  =  q^(-d) t^e * integral over D' of |f_B|^s
+        integral over the cell of |f|^s  =  q^(-d) t^e * integral over D' of |f_m|^s
 
-    with d the sum of the a_i and D' the product region that requires units
-    on the constrained coordinates.  Returns (e, d, f_B, D').
+    with d = sum m and D' the product region with units on the cell's unit
+    coordinate.  Returns (e, d, f_m, D').
     """
     ring = f.ring
-    if cell.n != f.n:
+    if len(cell.m) != f.n:
         raise ValueError("cell dimension mismatch")
-    zero = [ring.zero()] * f.n
-    scaled = f.substitute_affine(zero, cell.scale_vector())
+    scaled = f.substitute_affine([ring.zero()] * f.n, cell.m)
     e = scaled.content_valuation()
-    f_b = scaled.divide_by_uniformizer(e)
-    return e, cell.depth_shift(), f_b, cell.unit_region(ring.p)
+    return e, cell.depth_shift(), scaled.divide_by_uniformizer(e), cell.unit_region(ring.p)

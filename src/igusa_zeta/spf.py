@@ -114,9 +114,9 @@ def tally_add(tally: Tally, key: Tuple[int, int], a: int, b: int):
     tally[key] = (a0 + a, b0 + b)
 
 
-def tally_shift(tally: Tally, sign: int, e: int, k: int) -> Tally:
-    """The tally of sign p^(-k) t^e times the tally's value."""
-    return {(E + e, K + k): (sign * a, sign * b) for (E, K), (a, b) in tally.items()}
+def tally_shift(tally: Tally, e: int, k: int) -> Tally:
+    """The tally of p^(-k) t^e times the tally's value."""
+    return {(E + e, K + k): ab for (E, K), ab in tally.items()}
 
 
 def tally_ratfun(p: int, tally: Tally) -> RatFun:

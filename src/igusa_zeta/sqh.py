@@ -16,20 +16,26 @@ Stabilization is detected dynamically (two consecutive iterates equal to
 C_inf) rather than through an a priori bound; the series cross-check in the
 analysis module certifies the result independently.
 
-Each complement integral is a signed sum over valuation cells x_i = pi^(a_i)
-y_i, and most cells of an iterate need no fresh descent:
+The complement of A_alpha is partitioned into |alpha| valuation cells (see
+region.complement_cells): with the coordinates ordered by decreasing
+alpha_i, the cell (i, a) is { v(x_j) >= alpha_j for the coordinates j
+before i, v(x_i) = a, later coordinates free }, 0 <= a < alpha_i.  Under
+x = pi^m o y, m_j = alpha_j before i, m_i = a and 0 after, it becomes the
+region with y_i a unit and Jacobian q^(-sum m).  Each complement integral is
+the sum over these cells, and most cells of an iterate need no fresh
+descent:
 
 * Reuse.  The limit f is evaluated first, keeping per cell its content e
-  (the pi-order of f(pi^a y)) and the height h of its dilatation tree (the
+  (the pi-order of f(pi^m y)) and the height h of its dilatation tree (the
   largest E_accum).  Let the tail level of F on the cell be the least
-  v(c) + <a, m> over the monomials c x^m of F - f.  If it exceeds e + h,
+  v(c) + <m, k> over the monomials c x^k of F - f.  If it exceeds e + h,
   F's cell polynomial is congruent to f's mod pi^(h+1); a node at E_accum
   = E <= h then sees F's polynomial congruent to f's mod pi^(h+1-E), so
   every reduction, every extracted content and hence the whole tree and
   value are f's.  The cell's record is reused unchanged.
 * Closing.  If one monomial alone has the least level and uses only the
-  cell's unit coordinates, |F|^s is t^low on the whole cell, which closes
-  as sign q^(-d) t^low times the cell region's measure, before any
+  cell's unit coordinate x_i, |F|^s is t^low on the whole cell, which
+  closes as q^(-sum m) t^low times the cell region's measure, before any
   substitution.
 
 Reused and closed cells are counted in tree_stats and collected in the
@@ -37,9 +43,9 @@ trees as engine calls, with the trees the engine would have built for them,
 so the statistics and the --trace export do not depend on the shortcuts.
 
 Cell values are kept as the engine's integer tallies (see the spf module),
-signed and shifted per cell; a complement integral adds its cells' tallies
-and builds one RatFun.  The iterate sum, the stabilization test and the
-geometric close stay in RatFun arithmetic.
+shifted per cell; a complement integral adds its cells' tallies and builds
+one RatFun.  The iterate sum, the stabilization test and the geometric
+close stay in RatFun arithmetic.
 """
 
 from __future__ import annotations
@@ -179,12 +185,12 @@ def scale_step(F: MultiPoly, w: WeightSystem) -> MultiPoly:
 
 @dataclass
 class CellIntegral:
-    """The zeta integral over one signed complement cell, with its tree.
+    """The zeta integral over one complement cell, with its tree.
 
-    value is the tally of the cell's signed contribution sign q^(-d) t^e V,
-    where e is the content of F(pi^a y), d the cell's depth shift and V the
-    integral over the cell's residue region: the engine's tally of V with
-    every entry times sign and every key (E, k) moved to (E + e, k + d).
+    value is the tally of the cell's contribution q^(-d) t^e V, where e is
+    the content of F(pi^m y), d = sum m and V the integral over the cell's
+    residue region: the engine's tally of V with every key (E, k) moved to
+    (E + e, k + d).
     nodes, depth and height (the largest E_accum) describe the dilatation
     tree under root.
     """
@@ -216,26 +222,26 @@ def _valued_terms(F: MultiPoly) -> List[Tuple[Tuple[int, ...], int]]:
 
 
 def _levels(terms, cell: ValuationCell) -> List[Tuple[int, Tuple[int, ...]]]:
-    """(v(c) + <a, e>, e) per monomial: its pi-order after x_i = pi^(a_i) y_i."""
-    return [(v + sum(a * e[i] for i, a in cell.constraints), e) for e, v in terms]
+    """(v(c) + <m, e>, e) per monomial: its pi-order after x = pi^m o y."""
+    return [(v + sum(a * k for a, k in zip(cell.m, e)), e) for e, v in terms]
 
 
 def _cell_integral(
-    F: MultiPoly, terms, sign: int, cell: ValuationCell, cfg: SpfConfig, ctx: SpfContext
+    F: MultiPoly, terms, cell: ValuationCell, cfg: SpfConfig, ctx: SpfContext
 ) -> CellIntegral:
     """F over one cell: closed from the exponents when it can be, else by the engine.
 
     When a single monomial c y^e has the lowest level and uses only the
-    cell's unit coordinates, F(pi^a y) = pi^low (c y^e + pi g) with c y^e a
-    unit on the cell, so |F|^s = t^low there and the integral is t^low times
-    the region's measure; the root node is the one the engine would build.
+    cell's unit coordinate y_i, F(pi^m y) = pi^low (c y^e + pi g) with c y^e
+    a unit on the cell, so |F|^s = t^low there and the integral is t^low
+    times the region's measure; the root node is the one the engine would
+    build.
     """
     p = F.ring.p
     levels = _levels(terms, cell)
     low = min(level for level, _ in levels)
     lowest = [e for level, e in levels if level == low]
-    coords = cell.coords
-    if len(lowest) == 1 and all(k == 0 or i in coords for i, k in enumerate(lowest[0])):
+    if len(lowest) == 1 and all(k == 0 or i == cell.unit for i, k in enumerate(lowest[0])):
         region = cell.unit_region(p)
         root = DilatationNode(
             None, None, 0, 0, 0, 0, region.measure(), Fraction(0), 0, region.describe()
@@ -245,7 +251,7 @@ def _cell_integral(
     else:
         e, _, f_cell, target = cell_change_of_variables(F, cell)
         tally, root = spf_tally(f_cell, target, cfg, ctx)
-    return CellIntegral(tally_shift(tally, sign, e, cell.depth_shift()), e, root)
+    return CellIntegral(tally_shift(tally, e, cell.depth_shift()), e, root)
 
 
 def _cell_integrals(
@@ -255,7 +261,7 @@ def _cell_integrals(
     ctx: SpfContext,
     limit: Optional[LimitCells] = None,
 ) -> Dict[ValuationCell, CellIntegral]:
-    """F over every signed complement cell, reusing the limit's cells where exact.
+    """F over every complement cell, reusing the limit's cells where exact.
 
     A limit cell with content e and height h is reused when the tail F - f
     has level above e + h on the cell (see the module docs).
@@ -263,19 +269,19 @@ def _cell_integrals(
     terms = _valued_terms(F)
     tail = _valued_terms(F - limit.f) if limit is not None else []
     out: Dict[ValuationCell, CellIntegral] = {}
-    for sign, cell in complement_cells(Polydisc(w.alpha)):
+    for cell in complement_cells(Polydisc(w.alpha)):
         known = limit.cells.get(cell) if limit is not None else None
         tail_level = min((level for level, _ in _levels(tail, cell)), default=inf)
         if known is not None and tail_level > known.e + known.height:
             ctx.add_tree(known.root, known.nodes, known.depth)
             out[cell] = known
         else:
-            out[cell] = _cell_integral(F, terms, sign, cell, cfg, ctx)
+            out[cell] = _cell_integral(F, terms, cell, cfg, ctx)
     return out
 
 
 def _complement_sum(p: int, cells: Dict[ValuationCell, CellIntegral]) -> RatFun:
-    """The signed cell sum, one RatFun; its denominator must divide (1 - q^(-1) t)."""
+    """The sum over the partition, one RatFun; its denominator must divide (1 - q^(-1) t)."""
     merged: Tally = {}
     for integral in cells.values():
         for key, (a, b) in integral.value.items():
@@ -311,9 +317,10 @@ def zeta_on_complement(
 ) -> RatFun:
     """Zeta integral of F over the complement of the polydisc A_alpha.
 
-    Assembled as the signed sum over valuation cells, each rewritten onto a
-    residue region and evaluated recursively, unless it closes from the
-    exponents (one lowest monomial in unit coordinates) or, with ``limit``,
+    Assembled as the sum over the |alpha| cells that partition the
+    complement, each rewritten onto a residue region and evaluated
+    recursively, unless it closes from the exponents (one lowest monomial in
+    the unit coordinate alone) or, with ``limit``,
     reuses the limit's integral by the reuse lemma of the module docs.
     Closed and reused cells count in ctx's statistics and trees as engine
     calls, with the trees the engine would build.  The result of each cell

@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,6 +63,28 @@ def test_compute_weight_hint(capsys):
     assert "alpha = (2, 1), d = 3" in out
 
 
+def test_consecutive_calls_share_no_options(capsys):
+    # the parser is built once per process; a hint must not carry over
+    code, out, _ = run(capsys, "compute", "x^2+y^3+x*y", "--prime", "5", "--weights", "2,1:3")
+    assert code == 0 and "alpha = (2, 1), d = 3" in out
+    code, out, _ = run(capsys, "compute", "x^2+y^3+x*y", "--prime", "5")
+    assert code == 0 and "alpha = (1, 1), d = 2" in out
+
+
+def test_compute_does_not_load_numpy():
+    # numpy is needed only to count congruence solutions
+    script = (
+        "import sys, igusa_zeta.cli\n"
+        "assert igusa_zeta.cli.main(['compute', 'x^2+y^3', '--prime', '5']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_exit_code_parse_error(capsys):
     code, _, err = run(capsys, "compute", "x^^2", "--prime", "5")
     assert code == 2 and "position" in err
@@ -79,6 +104,21 @@ def test_exit_code_invalid_hint(capsys):
 def test_exit_code_depth(capsys):
     code, _, _ = run(capsys, "compute", "x^2*y", "--prime", "3", "--max-depth", "10")
     assert code == 4
+    # a line of singular points: the default cap fires as well
+    code, _, _ = run(capsys, "compute", "x^2*y", "--prime", "3")
+    assert code == 4
+
+
+@pytest.mark.parametrize("poly, prime", [
+    ("x^2+y^131", "3"), ("x^131+y^2", "3"), ("x^3+y^100", "7"),
+])
+def test_deep_two_term_curves_pass_check_at_the_default_depth(capsys, poly, prime):
+    # exponents past the default depth cap of 64; every cell tree stays shallow
+    code, _, _ = run(capsys, "compute", poly, "--prime", prime)
+    assert code == 0
+    code, out, _ = run(capsys, "check", poly, "--prime", prime, "--levels", "2")
+    assert code == 0
+    assert "PASS  engine == closed form" in out and "FAIL" not in out
 
 
 def test_exit_code_stabilization(capsys):
@@ -173,7 +213,7 @@ def test_trace_export_semiquasihomogeneous(tmp_path, capsys):
     doc = json.loads(trace.read_text())
     stats = doc["tree_stats"]
     # one tree per engine call, i.e. per complement cell
-    assert len(doc["trees"]) == stats["spf_calls"] == 11
+    assert len(doc["trees"]) == stats["spf_calls"] == 5
 
     def walk(node):
         yield node
@@ -184,7 +224,7 @@ def test_trace_export_semiquasihomogeneous(tmp_path, capsys):
     assert len(nodes) == stats["nodes"]
     # box children (scaling 0 off the box coordinates) keep their region
     boxes = [node for node in nodes if node["m"] is not None and 0 in node["m"]]
-    assert {node["region"] for node in boxes} == {"*xunits", "unitsx*"}
+    assert {node["region"] for node in boxes} == {"unitsx*"}
 
 
 GOLDEN_COMPUTE_JSON = [
@@ -195,7 +235,7 @@ GOLDEN_COMPUTE_JSON = [
      '[-1, 117649], [1, 823543]]}, "pole_real_parts": [[-1, 1], [-5, 6]], '
      '"poly": "x*y^2 + y^3 + x^2", "prime": 7, "report": {"content_shift": 0, "d": 6, '
      '"k0": 1, "pole_real_parts": [[-1, 1], [-5, 6]], "tree_stats": {"cache_hits": 0, '
-     '"max_depth": 2, "nodes": 64, "spf_calls": 44}, "weights": [3, 2], "zeta": '
+     '"max_depth": 2, "nodes": 32, "spf_calls": 20}, "weights": [3, 2], "zeta": '
      '{"denom": [{"a": 1, "b": 1}, {"a": 5, "b": 6}], "num": [[43, 49], [-13, 343], '
      '[6, 343], [0, 1], [0, 1], [-6, 117649], [-1, 823543], [1, 823543]]}}, "zeta": '
      '{"denom": [{"a": 1, "b": 1}, {"a": 5, "b": 6}], "num": [[43, 49], [-13, 343], '
@@ -207,7 +247,7 @@ GOLDEN_COMPUTE_JSON = [
      '[4, 3125], [-1, 15625], [-1, 78125]]}, "pole_real_parts": [[-5, 4], [-1, 1]], '
      '"poly": "z^5 + z^4 + x^2 + y^2", "prime": 5, "report": {"content_shift": 0, '
      '"d": 4, "k0": 1, "pole_real_parts": [[-5, 4], [-1, 1]], "tree_stats": '
-     '{"cache_hits": 0, "max_depth": 1, "nodes": 80, "spf_calls": 68}, "weights": '
+     '{"cache_hits": 0, "max_depth": 1, "nodes": 28, "spf_calls": 20}, "weights": '
      '[2, 2, 1], "zeta": {"denom": [{"a": 1, "b": 1}, {"a": 5, "b": 4}], "num": '
      '[[19, 25], [21, 625], [16, 3125], [16, 15625], [1, 78125], [-1, 78125]]}}, '
      '"zeta": {"denom": [{"a": 1, "b": 1}, {"a": 5, "b": 4}], "num": [[19, 25], '
@@ -219,7 +259,7 @@ GOLDEN_COMPUTE_JSON = [
      '[4, 3125], [-1, 15625]]}, "pole_real_parts": [[-5, 4], [-1, 1]], "poly": '
      '"u*z^4 + x^2 + y^2", "prime": 5, "report": {"content_shift": 0, "d": 4, '
      '"k0": 0, "pole_real_parts": [[-5, 4], [-1, 1]], "tree_stats": {"cache_hits": 0, '
-     '"max_depth": 2, "nodes": 25, "spf_calls": 17}, "weights": [2, 2, 1], "zeta": '
+     '"max_depth": 2, "nodes": 8, "spf_calls": 5}, "weights": [2, 2, 1], "zeta": '
      '{"denom": [{"a": 1, "b": 1}, {"a": 5, "b": 4}], "num": [[16, 25], [4, 25], '
      '[-4, 3125], [16, 15625]]}}, "zeta": {"denom": [{"a": 1, "b": 1}, {"a": 5, "b": 4}], '
      '"num": [[16, 25], [4, 25], [-4, 3125], [16, 15625]]}}'),

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -45,72 +46,71 @@ def test_polydisc_validation():
 
 def test_complement_cells_dimension_one():
     cells = complement_cells(Polydisc((1,)))
-    assert len(cells) == 1
-    sign, cell = cells[0]
-    assert sign == 1 and cell.constraints == ((0, 0),)
+    assert cells == [ValuationCell((0,), 0)]
 
 
 def test_complement_cells_two_sets():
+    # v(x) = 0, or v(x) >= 1 and v(y) = 0
     cells = complement_cells(Polydisc((1, 1)))
-    as_set = {(s, c.constraints) for s, c in cells}
-    assert as_set == {
-        (1, ((0, 0),)),
-        (1, ((1, 0),)),
-        (-1, ((0, 0), (1, 0))),
-    }
+    assert cells == [ValuationCell((0, 0), 0), ValuationCell((1, 0), 1)]
 
 
 def test_complement_cells_family_size():
-    # r = (3, 2): 3 cells for {x}, 2 for {y}, 6 for both
-    cells = complement_cells(Polydisc((3, 2)))
-    assert len(cells) == 11
-    singles_x = [c for s, c in cells if c.coords == (0,)]
-    assert sorted(a for (_, a), in (c.constraints for c in singles_x)) == [0, 1, 2]
+    # r = (2, 3): y comes first (larger radius), 3 cells for it, 2 for x
+    cells = complement_cells(Polydisc((2, 3)))
+    assert len(cells) == 5
+    assert [(c.m, c.unit) for c in cells] == [
+        ((0, 0), 1), ((0, 1), 1), ((0, 2), 1), ((0, 3), 0), ((1, 3), 0),
+    ]
+    rng = random.Random(5)
+    for _ in range(20):
+        r = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 4)))
+        assert len(complement_cells(Polydisc(r))) == sum(r)
 
 
 def test_signed_measures_sum_to_complement():
+    # every cell of the partition counts once, with sign +1
     rng = random.Random(17)
     for _ in range(40):
         n = rng.randint(1, 3)
         p = rng.choice([2, 3, 5])
         r = tuple(rng.randint(1, 3) for _ in range(n))
-        total = sum(s * c.measure(p) for s, c in complement_cells(Polydisc(r)))
+        total = sum(c.measure(p) for c in complement_cells(Polydisc(r)))
         assert total == 1 - Fraction(1, p ** sum(r))
 
 
 def test_signed_indicators_sum_to_complement_indicator():
-    # pointwise: valuation profiles below r are covered exactly once
-    p, r = 3, (2, 2)
-    cells = complement_cells(Polydisc(r))
-    for vx in range(4):
-        for vy in range(4):
-            covered = sum(
-                s
-                for s, c in cells
-                if all(dict(c.constraints).get(i, v) == v for i, v in enumerate((vx, vy)))
-            )
-            inside = vx >= r[0] and vy >= r[1]
-            assert covered == (0 if inside else 1)
+    # the cells partition the complement: a valuation profile outside A_r lies
+    # in exactly one cell, one inside A_r in none
+    for r in [(2, 2), (3, 1), (1, 3), (2, 1, 2)]:
+        cells = complement_cells(Polydisc(r))
+        for profile in itertools.product(range(5), repeat=len(r)):
+            covering = [
+                c for c in cells
+                if profile[c.unit] == c.m[c.unit] and all(map(int.__ge__, profile, c.m))
+            ]
+            inside = all(map(int.__ge__, profile, r))
+            assert len(covering) == (0 if inside else 1)
 
 
 def test_cell_change_of_variables_examples():
     f = parse("x^2 + y^3", Z5)
-    e, d, fb, target = cell_change_of_variables(f, ValuationCell(2, ((0, 1),)))
+    e, d, fb, target = cell_change_of_variables(f, ValuationCell((1, 0), 0))
     assert (e, d) == (0, 1)
     assert fb.terms[(2, 0)] == Z5.from_int(25) and fb.terms[(0, 3)] == Z5.one()
     assert target.describe() == "unitsx*"
 
     g = parse("x", Z5)
-    e, d, gb, target = cell_change_of_variables(g, ValuationCell(1, ((0, 2),)))
+    e, d, gb, target = cell_change_of_variables(g, ValuationCell((2,), 0))
     assert (e, d) == (2, 2)
     assert gb == parse("x", Z5)
     assert target.describe() == "units"
 
     # quasihomogeneity: scaling by the weights is trivial on the weighted part
-    e, d, fb, target = cell_change_of_variables(f, ValuationCell(2, ((0, 3), (1, 2))))
+    e, d, fb, target = cell_change_of_variables(f, ValuationCell((3, 2), 1))
     assert (e, d) == (6, 5)
     assert fb == f
-    assert target.describe() == "unitsxunits"
+    assert target.describe() == "*xunits"
 
 
 def test_cell_change_contract_against_brute_force():
@@ -126,16 +126,12 @@ def test_cell_change_contract_against_brute_force():
     for text in corpus:
         f = parse(text, Z3, n_hint=2)
         for _ in range(3):
-            constraints = tuple(
-                sorted((i, rng.randint(0, 1)) for i in rng.sample(range(2), rng.randint(1, 2)))
-            )
-            cell = ValuationCell(2, constraints)
+            cell = ValuationCell((rng.randint(0, 1), rng.randint(0, 1)), rng.randint(0, 1))
             e, d, fb, target = cell_change_of_variables(f, cell)
 
-            def member(point, constraints=constraints):
-                return all(
-                    int_valuation(point[i], p, level) == a for i, a in constraints
-                )
+            def member(point, cell=cell):
+                v = [int_valuation(x, p, level) for x in point]
+                return v[cell.unit] == cell.m[cell.unit] and all(map(int.__ge__, v, cell.m))
 
             lhs = brute_valuation_masses(f, level, member)
             value, _ = spf_zeta(fb, target)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -140,10 +141,10 @@ def test_complement_signed_cells_equal_direct_spf():
     f = parse("x^2+y^3", Z5)
     disc = Polydisc((1, 1))
     total = RatFun.zero(5)
-    for sign, cell in complement_cells(disc):
+    for cell in complement_cells(disc):
         e, d, fb, target = cell_change_of_variables(f, cell)
         value, _ = spf_zeta(fb, target)
-        total = total + value.scale(Fraction(sign, 5**d), e)
+        total = total + value.scale(Fraction(1, 5**d), e)
     # F_5^2 minus the origin is units x * plus {0} x units
     units, everything = range(1, 5), range(5)
     direct = RatFun.zero(5)
@@ -157,12 +158,28 @@ def reference_complement(F, w):
     """Every complement cell through the engine, no cell closed or reused."""
     p = F.ring.p
     total, roots = RatFun.zero(p), []
-    for sign, cell in complement_cells(Polydisc(w.alpha)):
+    for cell in complement_cells(Polydisc(w.alpha)):
         e, d, f_cell, target = cell_change_of_variables(F, cell)
         value, trace = spf_zeta(f_cell, target)
-        total = total + value.scale(Fraction(sign, p**d), e)
+        total = total + value.scale(Fraction(1, p**d), e)
         roots.append(trace.root)
     return total, roots
+
+
+def signed_family_complement(F, w):
+    """The complement as inclusion-exclusion over D(B, a) = {v(x_i) = a_i, i in B}, a < alpha."""
+    p, n = F.ring.p, F.n
+    total = RatFun.zero(p)
+    for size in range(1, n + 1):
+        for B in itertools.combinations(range(n), size):
+            for a in itertools.product(*(range(w.alpha[i]) for i in B)):
+                m = [dict(zip(B, a)).get(i, 0) for i in range(n)]
+                scaled = F.substitute_affine([F.ring.zero()] * n, m)
+                e = scaled.content_valuation()
+                units = [range(1, p) if i in B else range(p) for i in range(n)]
+                value, _ = spf_zeta(scaled.divide_by_uniformizer(e), ResidueRegion.product(p, units))
+                total = total + value.scale(Fraction((-1) ** (size + 1), p ** sum(a)), e)
+    return total
 
 
 class EngineCalls:
@@ -206,6 +223,21 @@ def test_iterate_complements_match_engine_on_every_cell(text, ring, monkeypatch)
         current = scale_step(current, w)
 
 
+@pytest.mark.parametrize("text, ring", [
+    ("x^2+y^2+z^4+z^5", Z5),
+    ("x^3+y^5+x^2*y^2+y^6", Z5),
+    ("x^2+y^3+x*y^2", F5PI),
+])
+def test_partition_matches_signed_family(text, ring):
+    # the partition and the overlapping inclusion-exclusion family integrate
+    # the same function over the same set
+    F = parse(text, ring)
+    w = detect_weights(F).weights
+    for _ in range(4):
+        assert zeta_on_complement(F, w) == signed_family_complement(F, w)
+        F = scale_step(F, w)
+
+
 def test_closed_cells_have_the_engine_root(monkeypatch):
     # x^2+y^3+z^5: most cells of the weights (15, 10, 6) close from the exponents
     f = parse("x^2+y^3+z^5", Z5)
@@ -213,13 +245,13 @@ def test_closed_cells_have_the_engine_root(monkeypatch):
     calls = EngineCalls(monkeypatch)
     limit = limit_cells(f, w)
     assert 0 < calls.count < len(limit.cells)
-    for sign, cell in complement_cells(Polydisc(w.alpha)):
+    for cell in complement_cells(Polydisc(w.alpha)):
         e, d, f_cell, target = cell_change_of_variables(f, cell)
         value, trace = spf_zeta(f_cell, target)
         integral = limit.cells[cell]
         assert integral.root.to_json() == trace.root.to_json()
         assert integral.e == e
-        assert tally_ratfun(5, integral.value) == value.scale(Fraction(sign, 5**d), e)
+        assert tally_ratfun(5, integral.value) == value.scale(Fraction(1, 5**d), e)
 
 
 # -- the full driver -----------------------------------------------------------------
@@ -321,3 +353,20 @@ def test_report_json_schema():
     assert {"num", "denom"} <= set(doc["zeta"])
     assert doc["pole_real_parts"] == [[-1, 1], [-5, 6]]
     assert "nodes" in doc["tree_stats"]
+
+
+@pytest.mark.parametrize("text, ring, hint", [
+    ("x^2+y^3+x*y^2", Z5, None),
+    ("x^2+y^2+z^4+x*y*z", Z5, None),
+    ("x^2+y^3+z^5", Z7, WeightSystem((15, 10, 6), 30)),
+])
+def test_zeta_invariant_under_permuting_variables(text, ring, hint):
+    # the order of the cells follows the weights, ties by index; Z must not
+    F = parse(text, ring)
+    values = set()
+    for order in itertools.permutations(range(F.n)):
+        G = MultiPoly(ring, F.n, {tuple(e[i] for i in order): c for e, c in F.terms.items()})
+        h = hint and WeightSystem(tuple(hint.alpha[i] for i in order), hint.d)
+        Z, _ = zeta_semiquasihomogeneous(G, h)
+        values.add(str(Z))
+    assert len(values) == 1
