@@ -68,6 +68,24 @@ def _digit_mul(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> Tuple[int, ...
     return _trim(tuple(c % p for c in out))
 
 
+def _deep_valuation(n: int, p: int) -> int:
+    """v_p(n) for n != 0 in O(log v) big-integer divisions, not v.
+
+    Strips p, p^2, p^4, ... while they divide, then halves back down.
+    """
+    q, e, v, powers = p, 1, 0, []
+    while n % q == 0:
+        n //= q
+        v += e
+        powers.append((q, e))
+        q, e = q * q, 2 * e
+    for q, e in reversed(powers):
+        if n % q == 0:
+            n //= q
+            v += e
+    return v
+
+
 class LocalRing:
     """O_K for one of the two supported fields, fixed prime residue field F_p."""
 
@@ -147,6 +165,8 @@ class LocalRingElement:
         while n % p == 0:
             n //= p
             v += 1
+            if v == 8:
+                return v + _deep_valuation(n, p)
         return v
 
     def reduce(self) -> int:

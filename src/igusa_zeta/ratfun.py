@@ -2,19 +2,34 @@
 
 Every zeta value produced by the engine is a rational function whose
 denominator is a product of factors (1 - q^(-a) t^b) with a, b >= 1.  The
-prime q = p is substituted at construction time, so coefficients are plain
-`fractions.Fraction` values and cancellation is exact.
+prime q = p is substituted at construction time, so the value is exact and
+rational.
+
+Storage: an integer numerator N(t) (a tuple of Python ints, trimmed) over
+one positive integer denominator D, with gcd(D, coefficients of N) = 1, and
+the factor multiset.  The value is N(t) / (D * prod (1 - p^(-a) t^b)).  The
+arithmetic is integer polynomial arithmetic: a factor (1 - p^(-a) t^b)
+multiplies N by (p^a - t^b) and D by p^a, a sum brings both numerators to
+one common denominator, and equality cross-multiplies integer vectors.
+``num``, the tuple of Fraction coefficients N_i / D, is a derived view for
+rendering and series.
 
 Canonical form: the numerator is divided by every denominator factor that
 divides it (greedily, factors in sorted order) and the remaining factor
 multiset is kept sorted.  Because distinct multisets can still represent
 equal functions, equality is decided by cross-multiplication.
+
+Exact division by (1 - (n/d) t^b), gcd(n, d) = 1, is division of the
+integer N by the primitive (d - n t^b), whose quotient is integral by
+Gauss's lemma when it exists; so the low-end recurrence stops at the first
+coefficient that d does not divide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation
@@ -32,78 +47,126 @@ class DenomFactor:
             raise ValueError("denominator factor requires a >= 1 and b >= 1")
 
 
-Coeffs = Tuple[Fraction, ...]
-
-
-def _trim(coeffs: Sequence[Fraction]) -> Coeffs:
+def _trim(coeffs: List[int]):
     k = len(coeffs)
-    while k and coeffs[k - 1] == 0:
+    while k and not coeffs[k - 1]:
         k -= 1
-    return tuple(coeffs[:k])
+    del coeffs[k:]
 
 
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Coeffs:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _trim(out)
+def _times_factor(num: Sequence[int], pa: int, b: int) -> List[int]:
+    """num * (pa - t^b); trimmed when num is, as the factor's leading coefficient is -1."""
+    out = [pa * c for c in num]
+    out.extend([0] * b)
+    for i, c in enumerate(num):
+        out[i + b] -= c
+    return out
 
 
-def _poly_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Coeffs:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out)
+def _times_factors(num: Sequence[int], den: int, p: int, factors) -> Tuple[Sequence[int], int]:
+    """(num, den) multiplied by every factor (1 - p^(-a) t^b) in ``factors``."""
+    for f in factors:
+        pa = p**f.a
+        num = _times_factor(num, pa, f.b)
+        den *= pa
+    return num, den
 
 
-def _divide_once(num: Coeffs, b: int, c: Fraction) -> Optional[Coeffs]:
-    """Exact quotient of ``num`` by (1 - c t^b), or None when not divisible."""
+def _divide_exact(num: Sequence[int], b: int, n: int, d: int) -> Optional[List[int]]:
+    """R with num = R * (d - n t^b), or None when (d - n t^b) does not divide num.
+
+    ``num`` is trimmed and integral and gcd(n, d) = 1, so the divisor is
+    primitive and an exact quotient is integral: the recurrence
+    R_i = (N_i + n R_(i-b)) / d stops at the first inexact step.
+    """
     if not num:
-        return ()
+        return []
     deg = len(num) - 1
     if deg < b:
         return None
-    q = [Fraction(0)] * (deg + 1)
-    for i in range(deg + 1):
-        q[i] = num[i] + (c * q[i - b] if i >= b else 0)
-    if any(q[i] != 0 for i in range(deg - b + 1, deg + 1)):
-        return None
-    return _trim(q[: deg - b + 1])
+    top = deg - b
+    quot: List[int] = []
+    for i in range(top + 1):
+        v = num[i] + n * quot[i - b] if i >= b else num[i]
+        r, rem = divmod(v, d)
+        if rem:
+            return None
+        quot.append(r)
+    for i in range(top + 1, deg + 1):
+        if (num[i] + n * quot[i - b] if i >= b else num[i]) != 0:
+            return None
+    return quot
+
+
+def _missing(have: Sequence[DenomFactor], want: Sequence[DenomFactor]) -> List[DenomFactor]:
+    """The factors of the multiset ``want`` not matched in the multiset ``have``."""
+    rest = list(have)
+    out = []
+    for f in want:
+        if f in rest:
+            rest.remove(f)
+        else:
+            out.append(f)
+    return out
 
 
 class RatFun:
     """Rational function in t with exact rational coefficients, fixed prime p."""
 
-    __slots__ = ("p", "num", "denom")
+    __slots__ = ("p", "_num", "_den", "denom")
 
     def __init__(self, p: int, num: Sequence, denom: Sequence[DenomFactor] = ()):
-        num = _trim([Fraction(c) for c in num])
-        factors = sorted(DenomFactor(f.a, f.b) if isinstance(f, DenomFactor) else DenomFactor(*f) for f in denom)
+        coeffs = [Fraction(c) for c in num]
+        den = lcm(*(c.denominator for c in coeffs))
+        factors = [DenomFactor(f.a, f.b) if isinstance(f, DenomFactor) else DenomFactor(*f) for f in denom]
+        self._set(p, [c.numerator * (den // c.denominator) for c in coeffs], den, factors)
+
+    def _set(self, p: int, num: List[int], den: int, factors: List[DenomFactor]):
+        """Store num / (den * prod factors) in canonical form (``num`` is consumed)."""
+        _trim(num)
         if not num:
-            factors = []
+            den, factors = 1, []
         else:
+            factors.sort()
             # Greedy cancellation in sorted factor order until nothing divides.
+            # Dividing by (1 - p^(-a) t^b) is dividing by (p^a - t^b) and
+            # multiplying by p^a; the p^a are collected in mult.
+            mult = 1
             changed = True
             while changed and factors:
                 changed = False
                 for i, f in enumerate(factors):
-                    quot = _divide_once(num, f.b, Fraction(1, p**f.a))
+                    pa = p**f.a
+                    quot = _divide_exact(num, f.b, 1, pa)
                     if quot is not None:
                         num = quot
+                        mult *= pa
                         del factors[i]
                         changed = True
                         break
+            if mult != 1:
+                num = [mult * c for c in num]
+            # Leading coefficient first: in a sum over a common denominator it
+            # carries the largest denominator, so the running gcd falls at once.
+            g = gcd(den, *reversed(num))
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
         self.p = p
-        self.num = num
+        self._num = tuple(num)
+        self._den = den
         self.denom = tuple(factors)
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def from_integers(
+        cls, p: int, num: Sequence[int], den: int, denom: Sequence[DenomFactor] = ()
+    ) -> "RatFun":
+        """num(t) / (den * prod denom) for integer coefficients and den >= 1."""
+        out = cls.__new__(cls)
+        out._set(p, list(num), den, list(denom))
+        return out
 
     @classmethod
     def zero(cls, p: int) -> "RatFun":
@@ -111,16 +174,24 @@ class RatFun:
 
     @classmethod
     def const(cls, p: int, c) -> "RatFun":
-        return cls(p, (Fraction(c),))
+        return cls.monomial(p, c, 0)
 
     @classmethod
     def monomial(cls, p: int, c, e: int) -> "RatFun":
-        return cls(p, (Fraction(0),) * e + (Fraction(c),))
+        n, d = Fraction(c).as_integer_ratio()
+        return cls.from_integers(p, [0] * e + [n], d)
+
+    # -- views ----------------------------------------------------------------
+
+    @property
+    def num(self) -> Tuple[Fraction, ...]:
+        """Numerator coefficients as Fractions, constant term first."""
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._num
 
     def _check(self, other: "RatFun"):
         if not isinstance(other, RatFun):
@@ -128,48 +199,44 @@ class RatFun:
         if self.p != other.p:
             raise ValueError("mixed primes")
 
-    def factor_coeffs(self, f: DenomFactor) -> Coeffs:
-        return (Fraction(1),) + (Fraction(0),) * (f.b - 1) + (Fraction(-1, self.p**f.a),)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "RatFun") -> "RatFun":
         self._check(other)
-        merged: List[DenomFactor] = []
-        d1, d2 = list(self.denom), list(other.denom)
-        for f in sorted(set(d1) | set(d2)):
-            merged.extend([f] * max(d1.count(f), d2.count(f)))
-        num1, num2 = self.num, other.num
-        for f in merged:
-            if f in d1:
-                d1.remove(f)
-            else:
-                num1 = _poly_mul(num1, self.factor_coeffs(f))
-            if f in d2:
-                d2.remove(f)
-            else:
-                num2 = _poly_mul(num2, self.factor_coeffs(f))
-        return RatFun(self.p, _poly_add(num1, num2), merged)
+        p = self.p
+        extra1 = _missing(self.denom, other.denom)
+        extra2 = _missing(other.denom, self.denom)
+        num1, den1 = _times_factors(self._num, self._den, p, extra1)
+        num2, den2 = _times_factors(other._num, other._den, p, extra2)
+        g = gcd(den1, den2)
+        m1, m2 = den2 // g, den1 // g
+        den = den1 * m1
+        if len(num1) < len(num2):
+            num1, num2, m1, m2 = num2, num1, m2, m1
+        total = [m1 * c for c in num1]
+        for i, c in enumerate(num2):
+            total[i] += m2 * c
+        return RatFun.from_integers(p, total, den, self.denom + tuple(extra1))
 
     def __neg__(self) -> "RatFun":
-        return RatFun(self.p, tuple(-c for c in self.num), self.denom)
+        return RatFun.from_integers(self.p, [-c for c in self._num], self._den, self.denom)
 
     def __sub__(self, other: "RatFun") -> "RatFun":
         return self + (-other)
 
     def scale(self, c, e: int = 0) -> "RatFun":
         """Multiply by c * t^e."""
-        c = Fraction(c)
-        num = (Fraction(0),) * e + tuple(v * c for v in self.num)
-        return RatFun(self.p, num, self.denom)
+        n, d = Fraction(c).as_integer_ratio()
+        return RatFun.from_integers(self.p, [0] * e + [n * v for v in self._num], d * self._den, self.denom)
 
     def geometric_close(self, a: int, b: int) -> "RatFun":
         """Multiply by the closed geometric-series factor 1/(1 - q^(-a) t^b)."""
-        return RatFun(self.p, self.num, self.denom + (DenomFactor(a, b),))
+        return RatFun.from_integers(self.p, self._num, self._den, self.denom + (DenomFactor(a, b),))
 
     def times_factor(self, a: int, b: int) -> "RatFun":
         """Multiply by (1 - q^(-a) t^b)."""
-        return RatFun(self.p, _poly_mul(self.num, self.factor_coeffs(DenomFactor(a, b))), self.denom)
+        num, den = _times_factors(self._num, self._den, self.p, (DenomFactor(a, b),))
+        return RatFun.from_integers(self.p, num, den, self.denom)
 
     # -- analysis --------------------------------------------------------------
 
@@ -178,8 +245,8 @@ class RatFun:
         if order < 0:
             return []
         out = [Fraction(0)] * (order + 1)
-        for i, c in enumerate(self.num[: order + 1]):
-            out[i] = c
+        for i, c in enumerate(self._num[: order + 1]):
+            out[i] = Fraction(c, self._den)
         for f in self.denom:
             c = Fraction(1, self.p**f.a)
             for i in range(f.b, order + 1):
@@ -191,20 +258,21 @@ class RatFun:
         return {Fraction(-f.a, f.b) for f in self.denom}
 
     def evaluate(self, t: Fraction) -> Fraction:
-        num = sum(c * t**i for i, c in enumerate(self.num))
+        num = Fraction(sum(c * t**i for i, c in enumerate(self._num)), self._den)
         den = Fraction(1)
         for f in self.denom:
             den *= 1 - Fraction(1, self.p**f.a) * t**f.b
         if den == 0:
             raise ZeroDivisionError("evaluation at a pole")
-        return Fraction(num) / den
+        return num / den
 
     def divide_numerator_exactly(self, b: int, c) -> "RatFun":
         """Divide the numerator by (1 - c t^b); raises when not exact."""
-        quot = _divide_once(self.num, b, Fraction(c))
+        n, d = Fraction(c).as_integer_ratio()
+        quot = _divide_exact(self._num, b, n, d)
         if quot is None:
             raise InvariantViolation(f"numerator not divisible by (1 - {c} t^{b})")
-        return RatFun(self.p, quot, self.denom)
+        return RatFun.from_integers(self.p, [d * v for v in quot], self._den, self.denom)
 
     # -- equality and rendering -------------------------------------------------
 
@@ -213,13 +281,11 @@ class RatFun:
             return NotImplemented
         if self.p != other.p:
             return False
-        left = self.num
-        right = other.num
-        for f in other.denom:
-            left = _poly_mul(left, self.factor_coeffs(f))
-        for f in self.denom:
-            right = _poly_mul(right, self.factor_coeffs(f))
-        return left == right
+        if self.denom == other.denom:
+            return self._num == other._num and self._den == other._den
+        left, lden = _times_factors(self._num, self._den, self.p, _missing(self.denom, other.denom))
+        right, rden = _times_factors(other._num, other._den, self.p, _missing(other.denom, self.denom))
+        return len(left) == len(right) and all(x * rden == y * lden for x, y in zip(left, right))
 
     __hash__ = None
 
@@ -236,7 +302,7 @@ class RatFun:
         return cls(p, num, denom)
 
     def _num_str(self, tvar: str = "t") -> str:
-        if not self.num:
+        if not self._num:
             return "0"
         parts = []
         for i, c in enumerate(self.num):
@@ -261,7 +327,7 @@ class RatFun:
     __repr__ = __str__
 
     def latex(self) -> str:
-        if not self.num:
+        if not self._num:
             return "0"
 
         def frac(c: Fraction) -> str:
@@ -282,4 +348,3 @@ class RatFun:
             return num
         den = "".join(f"\\left(1 - {self.p}^{{-{f.a}}} t^{{{f.b}}}\\right)" for f in self.denom)
         return f"\\frac{{{num}}}{{{den}}}"
-

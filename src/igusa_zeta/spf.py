@@ -29,7 +29,9 @@ points do not reduce to zeros and b are smooth zeros, contributes
 So the engine adds integers: every node adds (a, b) to a tally keyed by
 (E, n + S), and one RatFun is built from the tally at the end
 (tally_ratfun), with numerator A(t) (1 - q^(-1) t) + B(t) (1 - q^(-1)) t
-over (1 - q^(-1) t), normalised once.
+over (1 - q^(-1) t).  That numerator goes to RatFun as integers over the
+one denominator p^(K+1), with no Fraction built per coefficient; RatFun
+cancels and gcd-normalises once.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .coeff import DEFAULT_BUDGET, Lifting
 from .errors import DepthExceeded, ZeroPolynomial
 from .neron import DilatationNode, classify_points, dilate
 from .poly import MultiPoly
-from .ratfun import RatFun
+from .ratfun import DenomFactor, RatFun
 from .region import ResidueRegion
 
 
@@ -124,6 +126,7 @@ def tally_ratfun(p: int, tally: Tally) -> RatFun:
 
     Over p^(K+1), K the largest k, the numerator gains p^(K-k) (a p) at
     t^E and p^(K-k) (b (p - 1) - a) at t^(E+1) per entry, all integers.
+    The integer numerator and p^(K+1) go to RatFun.from_integers directly.
     """
     top = max((k for _, k in tally), default=0)
     degree = max((e for e, _ in tally), default=-1) + 2
@@ -132,8 +135,7 @@ def tally_ratfun(p: int, tally: Tally) -> RatFun:
         weight = p ** (top - k)
         num[e] += weight * a * p
         num[e + 1] += weight * (b * (p - 1) - a)
-    scale = p ** (top + 1)
-    return RatFun(p, [Fraction(c, scale) for c in num], ((1, 1),))
+    return RatFun.from_integers(p, num, p ** (top + 1), (DenomFactor(1, 1),))
 
 
 def spf_zeta(

@@ -121,6 +121,18 @@ def test_deep_two_term_curves_pass_check_at_the_default_depth(capsys, poly, prim
     assert "PASS  engine == closed form" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("x^3+y^100", "--prime", "7"),
+    ("x^2+y^101", "--prime", "3", "--weights", "101,2:202"),
+])
+def test_deep_degree_check_passes(capsys, argv):
+    # numerators of degree about 300 with factors (p^a - t^b), a in the hundreds
+    code, out, _ = run(capsys, "check", *argv, "--levels", "3")
+    assert code == 0
+    assert [line.split("  ")[0] for line in out.splitlines()[:3]] == ["PASS"] * 3
+    assert "PASS  engine == closed form" in out
+
+
 def test_exit_code_stabilization(capsys):
     code, _, _ = run(capsys, "compute", "x^2+y^3+x*y^2", "--prime", "7",
                      "--max-iter", "0")

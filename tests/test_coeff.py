@@ -33,6 +33,30 @@ def test_valuation_char0():
     assert Z5.from_int(-250).valuation() == 3
 
 
+def _naive_valuation(k, p):
+    k, v = abs(k), 0
+    while k % p == 0:
+        k //= p
+        v += 1
+    return v
+
+
+def test_valuation_char0_matches_naive_loop():
+    rng = random.Random(2002)
+    for p in (2, 3, 5, 7):
+        ring = LocalRing(p)
+        cases = [p**2002, -(p**3000)] + [(-1) ** v * (p + 1) * p**v for v in range(20)]
+        for _ in range(50):
+            unit = rng.randrange(1, 10**6)
+            while unit % p == 0:
+                unit = rng.randrange(1, 10**6)
+            cases.append(rng.choice((1, -1)) * unit * p ** rng.randint(0, 3000))
+        for k in cases:
+            assert ring.from_int(k).valuation() == _naive_valuation(k, p)
+    assert Z3.from_int(3**2002).valuation() == 2002
+    assert Z3.from_int(-2 * 3**2002).valuation() == 2002
+
+
 def test_valuation_charp():
     x = F3PI.from_digits((0, 0, 1, 2))  # pi^2 + 2 pi^3
     assert x.valuation() == 2

@@ -21,7 +21,7 @@ CASES_CHAR0 = [
 
 
 @pytest.mark.parametrize("text,ring,jmax", CASES_CHAR0)
-def test_backends_match_reference_char0(text, ring, jmax):
+def test_lift_counts_match_reference_char0(text, ring, jmax):
     f = parse(text, ring)
     expected = brute_counts_char0(f, jmax)
     assert [1] + [congruence_count(f, j) for j in range(1, jmax + 1)] == expected
@@ -35,13 +35,13 @@ CASES_CHARP = [
 
 
 @pytest.mark.parametrize("text,ring,jmax", CASES_CHARP)
-def test_backends_match_reference_charp(text, ring, jmax):
+def test_lift_counts_match_reference_charp(text, ring, jmax):
     f = parse(text, ring)
     expected = brute_counts_charp(f, jmax)
     assert [1] + [congruence_count(f, j) for j in range(1, jmax + 1)] == expected
 
 
-def test_masked_counts_match_between_backends():
+def test_masked_counts_match_reference():
     f = parse("x^2+y^3+x*y^2", Z3)
     product = ResidueRegion.product(3, [frozenset({1, 2}), frozenset({0, 1})])
     line = ResidueRegion.product(3, [frozenset({0, 1, 2}), frozenset({2})])

@@ -6,6 +6,8 @@ import pytest
 
 from igusa_zeta import DenomFactor, InvariantViolation, RatFun
 
+from _ratfun_reference import ReferenceRatFun
+
 
 def geo(p, a, b):
     """1 / (1 - p^-a t^b)"""
@@ -123,3 +125,65 @@ def test_str_and_latex():
     assert "1 - 5^-1*t" in str(r)
     assert "\\frac" in r.latex()
     assert RatFun.zero(5).latex() == "0"
+
+
+
+def _mul_factor(num, c, b):
+    """num * (1 - c t^b), Fraction coefficients."""
+    out = list(num) + [Fraction(0)] * b
+    for i, v in enumerate(num):
+        out[i + b] -= c * v
+    return out
+
+
+def _same(new, ref):
+    return new.num == ref.num and new.denom == ref.denom
+
+
+def _outcome(op):
+    try:
+        return op()
+    except InvariantViolation as exc:
+        return str(exc)
+
+
+def test_integer_arithmetic_matches_fraction_reference():
+    rng = random.Random(16)
+    for _ in range(400):
+        p = rng.choice([2, 3, 5, 7])
+        d = rng.randint(2, 4)
+        pool = [(1, 1), (d, d), (1, 2), (2, 1), (3, 2), (d + 1, d)]
+        denominators = [1, 3, 7, p, p * p, 3 * p]  # 3 and 7 are not powers of most p
+
+        def draw():
+            num = [Fraction(rng.randint(-6, 6), rng.choice(denominators))
+                   for _ in range(rng.choice([0, 1, 2, 3, 5]))]
+            factors = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+            if rng.random() < 0.3:
+                factors += [(1, 1), (d, d)]  # |alpha| = d: (1 - t/p) divides (1 - t^d/p^d)
+            for a, b in factors:  # plant cancellations
+                if num and rng.random() < 0.4:
+                    num = _mul_factor(num, Fraction(1, p**a), b)
+            return RatFun(p, num, factors), ReferenceRatFun(p, num, factors)
+
+        (x, rx), (y, ry) = draw(), draw()
+        assert _same(x, rx) and _same(y, ry)
+        assert _same(x + y, rx + ry) and _same(x - y, rx - ry) and _same(-x, -rx)
+        c = Fraction(rng.randint(-4, 4), rng.choice(denominators))
+        e = rng.randint(0, 3)
+        assert _same(x.scale(c, e), rx.scale(c, e))
+        assert (x == x.scale(c)) == (rx == rx.scale(c))
+        a, b = rng.choice(pool)
+        assert _same(x.geometric_close(a, b), rx.geometric_close(a, b))
+        assert _same(x.times_factor(a, b), rx.times_factor(a, b))
+        assert (x == y) == (rx == ry)
+        z, rz = x.geometric_close(a, b).times_factor(a, b), rx.geometric_close(a, b).times_factor(a, b)
+        assert _same(z, rz) and (x == z) and (rx == rz)
+        # a divisor that divides and one that may not, including the Poincare bridge's (1 - t)
+        c = rng.choice([Fraction(1), Fraction(1, p**a), Fraction(-1, 3), Fraction(2, 5)])
+        b = rng.randint(1, 3)
+        planted = _mul_factor(rx.num, c, b)
+        for u, ru in ((x, rx), (RatFun(p, planted, rx.denom), ReferenceRatFun(p, planted, rx.denom))):
+            got = _outcome(lambda: u.divide_numerator_exactly(b, c))
+            want = _outcome(lambda: ru.divide_numerator_exactly(b, c))
+            assert got == want if isinstance(want, str) else _same(got, want)
