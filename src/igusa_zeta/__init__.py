@@ -42,7 +42,6 @@ from .sqh import (
 )
 from .analysis import (
     PoincareSeries,
-    bound_check,
     two_term_closed_form,
     oracle_counts,
     poincare_from_zeta,
@@ -83,7 +82,6 @@ __all__ = [
     "ValuationCell",
     "WeightSystem",
     "ZeroPolynomial",
-    "bound_check",
     "cell_change_of_variables",
     "classify_points",
     "complement_cells",

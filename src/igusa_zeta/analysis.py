@@ -1,9 +1,8 @@
-"""Congruence counting, Poincare series, growth checks and closed forms.
+"""Congruence counting, Poincare series and closed forms.
 
 This module is the verification side of the package: an exhaustive solution
 counter independent of the recursive engine, the Poincare-series bridge
-between counts and zeta values, a finite-range growth-trend report, and a
-closed-form generator for two-term curves a*x^n + b*y^m that shares no code
+between counts and zeta values, and a closed-form generator for two-term curves a*x^n + b*y^m that shares no code
 with the engine path.
 """
 
@@ -12,16 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional, Sequence, TYPE_CHECKING
+from typing import List, Optional
 
 from .coeff import DEFAULT_BUDGET, LocalRing, LocalRingElement
 from .errors import InvalidParameters, InvariantViolation
 from .poly import MultiPoly
 from .ratfun import RatFun
 from .region import ResidueRegion
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .sqh import WeightSystem
 
 
 def solution_counts(
@@ -98,31 +94,6 @@ def poincare_from_zeta(Z: RatFun, n: int) -> PoincareSeries:
     """
     one_minus = RatFun.const(Z.p, 1) - Z.scale(1, 1)
     return PoincareSeries(one_minus.divide_numerator_exactly(1, 1), n, Z.p)
-
-
-def bound_check(N: Sequence[int], w: "WeightSystem", n: int, p: int) -> dict:
-    """Finite-range growth trend of the counts against the weight bound.
-
-    The asymptotic statement caps limsup N_j^(1/j) by p^(n - |alpha|/d) when
-    |alpha| <= d and by p^(n-1) otherwise.  Fractional exponents are avoided
-    by reporting N_j^d / p^(j(nd - |alpha|)) in the first branch (the d-th
-    power of the natural ratio) and N_j / p^(j(n-1)) in the second.  This is
-    a trend report over the computed range, not a proof of the limsup.
-    """
-    total, d = w.total, w.d
-    branch = "le1" if total <= d else "gt1"
-    stats: List[Fraction] = []
-    for j in range(1, len(N)):
-        if branch == "le1":
-            stats.append(Fraction(N[j] ** d, p ** (j * (n * d - total))))
-        else:
-            stats.append(Fraction(N[j], p ** (j * (n - 1))))
-    return {
-        "branch": branch,
-        "ratio_power": d if branch == "le1" else 1,
-        "stats": stats,
-        "max": max(stats) if stats else None,
-    }
 
 
 # -- closed form for a*x^n + b*y^m ---------------------------------------------

@@ -64,10 +64,6 @@ class MultiPoly:
             c = ring.from_int(c)
         return cls(ring, n, {(0,) * n: c})
 
-    @classmethod
-    def from_int_terms(cls, ring: LocalRing, n: int, terms: Dict[Exponents, int]) -> "MultiPoly":
-        return cls(ring, n, {e: ring.from_int(c) for e, c in terms.items()})
-
     # -- structure -----------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -66,9 +66,6 @@ class ResidueRegion:
             raise BudgetExceeded(f"{self.p}^{self.n} exceeds budget {budget}")
         return itertools.product(*(sorted(a) for a in self.allowed))
 
-    def contains(self, point: Tuple[int, ...]) -> bool:
-        return all(a in s for a, s in zip(point, self.allowed))
-
     def describe(self) -> str:
         if self.is_full():
             return "full"

@@ -26,13 +26,16 @@ the sum over these cells, and most cells of an iterate need no fresh
 descent:
 
 * Reuse.  The limit f is evaluated first, keeping per cell its content e
-  (the pi-order of f(pi^m y)) and the height h of its dilatation tree (the
-  largest E_accum).  Let the tail level of F on the cell be the least
-  v(c) + <m, k> over the monomials c x^k of F - f.  If it exceeds e + h,
-  F's cell polynomial is congruent to f's mod pi^(h+1); a node at E_accum
-  = E <= h then sees F's polynomial congruent to f's mod pi^(h+1-E), so
-  every reduction, every extracted content and hence the whole tree and
-  value are f's.  The cell's record is reused unchanged.
+  (the pi-order of f(pi^m y)) and its dilatation tree.  Let T = F - f be
+  the tail.  The tail is replayed down the limit cell's tree: at the root
+  T(pi^m y) must have content above e, and tau = pi^(-e) T(pi^m y); at each
+  child (centre c, scaling m_c, content e_c, read from the stored node)
+  tau(c + pi^(m_c) x) must have content above e_c, and the child's tau is
+  pi^(-e_c) tau(c + pi^(m_c) x).  Where every node passes, F's polynomial
+  at each node is f's plus a multiple of pi (by induction down the tree),
+  so every reduction, classification, singular centre and extracted
+  content, hence the whole tree and value, are f's.  The cell's record is
+  reused unchanged.
 * Closing.  If one monomial alone has the least level and uses only the
   cell's unit coordinate x_i, |F|^s is t^low on the whole cell, which
   closes as q^(-sum m) t^low times the cell region's measure, before any
@@ -53,7 +56,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (
@@ -191,8 +194,8 @@ class CellIntegral:
     the content of F(pi^m y), d = sum m and V the integral over the cell's
     residue region: the engine's tally of V with every key (E, k) moved to
     (E + e, k + d).
-    nodes, depth and height (the largest E_accum) describe the dilatation
-    tree under root.
+    nodes and depth describe the dilatation tree under root, whose stored
+    centres, scalings and contents the iterates replay their tails against.
     """
 
     value: Tally
@@ -200,13 +203,11 @@ class CellIntegral:
     root: DilatationNode
     nodes: int = field(init=False)
     depth: int = field(init=False)
-    height: int = field(init=False)
 
     def __post_init__(self):
         tree = list(self.root.walk())
         self.nodes = len(tree)
         self.depth = max(node.depth for node in tree)
-        self.height = max(node.E_accum for node in tree)
 
 
 @dataclass
@@ -254,6 +255,21 @@ def _cell_integral(
     return CellIntegral(tally_shift(tally, e, cell.depth_shift()), e, root)
 
 
+def _tail_stays_above(shifted: MultiPoly, e: int, node: DilatationNode) -> bool:
+    """Whether the tail, moved onto node as shifted, keeps f's tree under node.
+
+    shifted is the tail after the node's substitution and before its
+    content e is taken out; see the reuse replay of the module docs.
+    """
+    if shifted.content_valuation() <= e:
+        return False
+    tau = shifted.divide_by_uniformizer(e)
+    return all(
+        _tail_stays_above(tau.substitute_affine(child.center, child.m), child.e, child)
+        for child in node.children
+    )
+
+
 def _cell_integrals(
     F: MultiPoly,
     w: WeightSystem,
@@ -263,16 +279,20 @@ def _cell_integrals(
 ) -> Dict[ValuationCell, CellIntegral]:
     """F over every complement cell, reusing the limit's cells where exact.
 
-    A limit cell with content e and height h is reused when the tail F - f
-    has level above e + h on the cell (see the module docs).
+    A limit cell is reused when the tail F - f, replayed down the cell's
+    tree, stays above the content extracted at every node (see the module
+    docs); otherwise the cell is closed or descended afresh.
     """
     terms = _valued_terms(F)
-    tail = _valued_terms(F - limit.f) if limit is not None else []
+    tail = F - limit.f if limit is not None else None
+    zero = [F.ring.zero()] * F.n
     out: Dict[ValuationCell, CellIntegral] = {}
     for cell in complement_cells(Polydisc(w.alpha)):
         known = limit.cells.get(cell) if limit is not None else None
-        tail_level = min((level for level, _ in _levels(tail, cell)), default=inf)
-        if known is not None and tail_level > known.e + known.height:
+        if known is not None and (
+            tail.is_zero()
+            or _tail_stays_above(tail.substitute_affine(zero, cell.m), known.e, known.root)
+        ):
             ctx.add_tree(known.root, known.nodes, known.depth)
             out[cell] = known
         else:

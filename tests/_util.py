@@ -115,6 +115,11 @@ def int_valuation(x, p, cap):
     return v
 
 
+def int_poly(ring, n, terms):
+    """The polynomial with integer coefficients {exponents: c} over ring."""
+    return MultiPoly(ring, n, {e: ring.from_int(c) for e, c in terms.items()})
+
+
 def random_poly(ring, n, rng, max_terms=4, max_exp=3, max_coeff=6):
     """Small random polynomial, nonzero, possibly with pi-content."""
     while True:
@@ -124,6 +129,6 @@ def random_poly(ring, n, rng, max_terms=4, max_exp=3, max_coeff=6):
             c = rng.randint(-max_coeff, max_coeff)
             if c:
                 terms[e] = terms.get(e, 0) + c
-        poly = MultiPoly.from_int_terms(ring, n, terms)
+        poly = int_poly(ring, n, terms)
         if not poly.is_zero():
             return poly

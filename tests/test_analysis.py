@@ -10,7 +10,6 @@ from igusa_zeta import (
     MultiPoly,
     RatFun,
     WeightSystem,
-    bound_check,
     two_term_closed_form,
     oracle_counts,
     parse,
@@ -91,28 +90,6 @@ def test_poincare_rejects_perturbed_zeta():
     skewed = Z + RatFun.monomial(5, Fraction(1, 7), 1) - RatFun.monomial(5, Fraction(1, 7), 2)
     with pytest.raises(InvariantViolation):
         poincare_from_zeta(skewed, 1).counts(3)
-
-
-# -- growth trend -------------------------------------------------------------------
-
-
-def test_bound_check_branches():
-    w = WeightSystem((3, 2), 6)  # |alpha|/d = 5/6 <= 1
-    N = oracle_counts(parse("x^2+y^3", Z5), 3)
-    report = bound_check(N, w, 2, 5)
-    assert report["branch"] == "le1" and report["ratio_power"] == 6
-    assert all(isinstance(s, Fraction) for s in report["stats"])
-
-    w3 = WeightSystem((1, 1, 1), 2)  # 3/2 > 1
-    N3 = oracle_counts(parse("x^2+y^2+z^2", Z5), 2)
-    report3 = bound_check(N3, w3, 3, 5)
-    assert report3["branch"] == "gt1" and report3["ratio_power"] == 1
-    assert report3["max"] == max(report3["stats"])
-
-    # f = x: N_j = 1, stat is p^-something <= 1
-    reportx = bound_check([1, 1, 1], WeightSystem((1,), 1), 1, 5)
-    assert reportx["branch"] == "le1"
-    assert all(s <= 1 for s in reportx["stats"])
 
 
 # -- closed form ---------------------------------------------------------------------

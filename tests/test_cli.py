@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -216,6 +217,19 @@ def test_trace_export(tmp_path, capsys):
     assert doc["tree"]["depth"] == 0
     assert doc["tree"]["children"][0]["e"] == 1
     assert doc["stats"]["nodes"] >= 2
+
+
+@pytest.mark.parametrize("poly, prime, digest", [
+    ("x^2+y^3+x*y^2", "7", "237d21584b3805f36b46276d5dedfa65c6a91f75423c3b3012f43a27497833d0"),
+    ("x^2+y^2+z^4+z^5", "5", "f2c5e95a9a481a0456341cdb1d627a868be3586a4bcb15e414caba56ac78e192"),
+])
+def test_trace_export_with_iterates(tmp_path, capsys, poly, prime, digest):
+    # the iterates reuse the limit's trees; the export must stay byte for
+    # byte the one with the trees the engine builds for every cell
+    trace = tmp_path / "trace.json"
+    code, _, _ = run(capsys, "compute", poly, "--prime", prime, "--trace", str(trace))
+    assert code == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
 
 
 def test_trace_export_semiquasihomogeneous(tmp_path, capsys):

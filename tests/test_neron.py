@@ -19,7 +19,7 @@ from igusa_zeta import (
     parse,
 )
 
-from _util import random_poly
+from _util import int_poly, random_poly
 
 Z5 = LocalRing(5)
 Z3 = LocalRing(3)
@@ -131,7 +131,7 @@ def test_classify_matches_pointwise_evaluation(p):
                 for _ in range(rng.randint(1, 4))
             }
             terms[tuple(rng.randint(0, 2 * p + 1) for _ in range(n))] = 1
-            f = MultiPoly.from_int_terms(ring, n, terms)
+            f = int_poly(ring, n, terms)
             if case % 2:
                 f = missing_coordinate(f, rng)
                 if f.content_valuation() > 0:

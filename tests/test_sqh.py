@@ -196,13 +196,19 @@ class EngineCalls:
         monkeypatch.setattr(sqh, "spf_tally", counted)
 
 
-@pytest.mark.parametrize("text, ring", [
-    ("x^2+y^2+z^4+z^5", Z5),
-    ("x^3+y^5+x^2*y^2+y^6", Z5),
-    ("x^2+y^3+x*y^2", F5PI),
-])
+# fresh engine calls of the iterates k = 0..3
+FRESH_CALLS = {
+    ("x^2+y^2+z^4+z^5", Z5): [5, 0, 0, 0],
+    ("x^3+y^5+x^2*y^2+y^6", Z5): [6, 0, 0, 0],
+    ("x^2+y^3+x*y^2", F5PI): [1, 0, 0, 0],
+    ("x^2+y^3+x*y^2", Z5): [1, 0, 0, 0],
+}
+
+
+@pytest.mark.parametrize("text, ring", list(FRESH_CALLS))
 def test_iterate_complements_match_engine_on_every_cell(text, ring, monkeypatch):
-    # reused and closed cells give the engine's value, trees and statistics
+    # reused and closed cells give the engine's value, trees and statistics;
+    # from the first scaling step on, every cell replays onto the limit's tree
     F = parse(text, ring)
     dec = detect_weights(F)
     w = dec.weights
@@ -210,6 +216,7 @@ def test_iterate_complements_match_engine_on_every_cell(text, ring, monkeypatch)
     calls = EngineCalls(monkeypatch)
     limit = limit_cells(dec.quasi, w)
     current = F
+    seen = []
     for k in range(4):
         expected, roots = reference_complement(current, w)
         calls.count = 0
@@ -218,9 +225,33 @@ def test_iterate_complements_match_engine_on_every_cell(text, ring, monkeypatch)
         assert [r.to_json() for r in ctx.roots] == [r.to_json() for r in roots]
         assert ctx.calls == cells
         assert ctx.nodes == sum(len(list(r.walk())) for r in roots)
-        if k == 3:
-            assert calls.count < cells  # reuse fired
+        seen.append(calls.count)
         current = scale_step(current, w)
+    assert seen == FRESH_CALLS[text, ring]
+
+
+def test_tail_replay_checks_every_node():
+    # g = y^2+5x^2 on units x *: the root dilates y -> 5y with e_c = 1, and
+    # the child x^2+5y^2 is a leaf
+    g = parse("y^2+5*x^2", Z5)
+    region = ResidueRegion.product(5, [range(1, 5), range(5)])
+    value, trace = spf_zeta(g, region)
+    (child,) = trace.root.children
+    assert child.m == (0, 1) and child.e == 1 and not child.children
+    for text in ["25", "5*y", "5*x*y"]:
+        tau = parse(text, Z5, n_hint=2)
+        assert sqh._tail_stays_above(tau, 0, trace.root)
+        value_tau, trace_tau = spf_zeta(g + tau, region)
+        assert value_tau == value
+        assert trace_tau.root.to_json() == trace.root.to_json()
+    # 5 passes the root but not the child: there g+5 becomes 5(x^2+1+5y^2),
+    # whose reduction has smooth zeros, so the tree and the value change
+    five = parse("5", Z5, n_hint=2)
+    assert five.content_valuation() > trace.root.e
+    assert not sqh._tail_stays_above(five, 0, trace.root)
+    value_five, trace_five = spf_zeta(g + five, region)
+    assert value_five != value
+    assert trace_five.root.to_json() != trace.root.to_json()
 
 
 @pytest.mark.parametrize("text, ring", [
