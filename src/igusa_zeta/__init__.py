@@ -18,7 +18,6 @@ from .errors import (
     InvalidParameters,
     InvariantViolation,
     NonUnitContent,
-    NotApplicable,
     NotSemiQuasiHomogeneous,
     PolynomialSyntaxError,
     StabilizationNotReached,
@@ -28,7 +27,7 @@ from .errors import (
 from .poly import MultiPoly, ResiduePoly, parse, weighted_degree
 from .ratfun import DenomFactor, RatFun
 from .region import Polydisc, ResidueRegion, ValuationCell, cell_change_of_variables, complement_cells
-from .neron import DilatationNode, L_measure, classify_points, dilate, l_measure, mu_procedure
+from .neron import DilatationNode, classify_points, dilate
 from .spf import SpfConfig, SpfTrace, series_check, spf_zeta
 from .sqh import (
     SqhDecomposition,
@@ -59,13 +58,11 @@ __all__ = [
     "InvalidHint",
     "InvalidParameters",
     "InvariantViolation",
-    "L_measure",
     "Lifting",
     "LocalRing",
     "LocalRingElement",
     "MultiPoly",
     "NonUnitContent",
-    "NotApplicable",
     "NotSemiQuasiHomogeneous",
     "PoincareSeries",
     "Polydisc",
@@ -88,9 +85,7 @@ __all__ = [
     "detect_weights",
     "dilate",
     "two_term_closed_form",
-    "l_measure",
     "limit_cells",
-    "mu_procedure",
     "oracle_counts",
     "parse",
     "poincare_from_zeta",

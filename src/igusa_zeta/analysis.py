@@ -81,9 +81,6 @@ class PoincareSeries:
             out.append(int(scaled))
         return out
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "n": self.n, "ratfun": self.ratfun.to_json()}
-
 
 def poincare_from_zeta(Z: RatFun, n: int) -> PoincareSeries:
     """P(t) = (1 - t Z(t)) / (1 - t) for a full-region zeta function.

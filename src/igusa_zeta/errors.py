@@ -41,10 +41,6 @@ class NonUnitContent(EngineError):
     """Reduction modulo the uniformizer requires unit content; normalize first."""
 
 
-class NotApplicable(EngineError):
-    """Preconditions of the singular-point scaling procedure do not hold."""
-
-
 class NotSemiQuasiHomogeneous(EngineError):
     """No admissible weight system was found for the input polynomial."""
 

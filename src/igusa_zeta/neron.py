@@ -1,10 +1,10 @@
-"""Singularity bookkeeping: point classification, dilatations, depth measures.
+"""Singularity bookkeeping: point classification, dilatations, descent trees.
 
 A dilatation recenters and rescales a polynomial, x -> P + pi^m o x, and
 divides out the full power of the uniformizer (the arithmetic multiplicity
-e).  Iterated dilatations at singular residue points drive the recursive
-zeta evaluation; the measures l and L bound how deep that descent can go at
-a given center.
+e).  Iterated dilatations at the singular residue points found by
+classify_points drive the recursive zeta evaluation, and DilatationNode
+records each step of that descent.
 """
 
 from __future__ import annotations
@@ -13,14 +13,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coeff import DEFAULT_BUDGET, LocalRingElement
-from .errors import BudgetExceeded, InvariantViolation, NotApplicable
+from .errors import BudgetExceeded, InvariantViolation
 from .poly import MultiPoly, ResiduePoly
 from .region import ResidueRegion
-
-INFINITY = math.inf
 
 
 @dataclass
@@ -134,52 +132,6 @@ def dilate(
     substituted = f.substitute_affine(center, m)
     e = substituted.content_valuation()
     return substituted.divide_by_uniformizer(e), e
-
-
-def L_measure(f: MultiPoly, point: Sequence[LocalRingElement]) -> Union[int, float]:
-    """Minimum valuation among f(P) and all first partials at P.
-
-    Infinite exactly when P is a singular point of the hypersurface over the
-    ring itself.
-    """
-    values = [f.evaluate(point)]
-    values.extend(f.partial_derivative(i).evaluate(point) for i in range(f.n))
-    return min(v.valuation() for v in values)
-
-
-def l_measure(f: MultiPoly, point: Sequence[LocalRingElement]) -> Union[int, float]:
-    """Minimum valuation among the first partials only (no value term)."""
-    return min(
-        f.partial_derivative(i).evaluate(point).valuation() for i in range(f.n)
-    )
-
-
-def mu_procedure(
-    f: MultiPoly, point: Sequence[LocalRingElement]
-) -> Tuple[int, MultiPoly, int]:
-    """Minimal scaling exponent that flattens a singular residue point.
-
-    For P not singular over the ring but singular in the reduction, find the
-    least mu >= 1 such that pi^(-e) f(P + pi^mu x) reduces to a nonzero
-    constant or to a nonzero linear form without constant term.  Returns
-    (mu, scaled polynomial, extracted content e).  The search is bounded by
-    L(f, P) + 2, which always suffices.
-    """
-    L = L_measure(f, point)
-    if L == INFINITY:
-        raise NotApplicable("point is singular over the ring; no finite depth")
-    if f.content_valuation() > 0:
-        raise NotApplicable("polynomial must have unit content")
-    fbar = f.reduce_mod_pi()
-    pbar = tuple(c.reduce() for c in point)
-    if fbar.evaluate(pbar) != 0 or any(g.evaluate(pbar) != 0 for g in fbar.gradient()):
-        raise NotApplicable("residue point is not singular on the reduction")
-    for mu in range(1, int(L) + 3):
-        scaled, e = dilate(f, point, (mu,) * f.n)
-        sbar = scaled.reduce_mod_pi()
-        if sbar.is_nonzero_constant() or sbar.is_linear_without_constant_term():
-            return mu, scaled, e
-    raise InvariantViolation(f"no admissible scaling exponent up to L+2 = {int(L) + 2}")
 
 
 @dataclass

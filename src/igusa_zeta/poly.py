@@ -1,8 +1,7 @@
 """Exact multivariate polynomial arithmetic over the coefficient ring.
 
 Polynomials are sparse maps from exponent vectors to nonzero ring elements.
-The canonical term order is graded lexicographic, which fixes rendering,
-hashing and iteration order.
+The canonical term order is graded lexicographic, which fixes rendering.
 """
 
 from __future__ import annotations
@@ -126,18 +125,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "MultiPoly":
-        if e < 0:
-            raise ValueError("negative power")
-        result = MultiPoly.constant(self.ring, self.n, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     # -- ring-specific operations ---------------------------------------------
 
     def content_valuation(self) -> int:
@@ -163,34 +150,6 @@ class MultiPoly:
             if r:
                 terms[e] = r
         return ResiduePoly(self.ring.p, self.n, terms)
-
-    def partial_derivative(self, var: int) -> "MultiPoly":
-        """Formal derivative in variable ``var`` (0-based)."""
-        if not 0 <= var < self.n:
-            raise ValueError(f"variable index {var} out of range")
-        acc: Dict[Exponents, LocalRingElement] = {}
-        for e, c in self.terms.items():
-            k = e[var]
-            if k == 0:
-                continue
-            d = c * self.ring.from_int(k)
-            if d.is_zero():
-                continue
-            exps = e[:var] + (k - 1,) + e[var + 1 :]
-            self._merge(acc, exps, d)
-        return MultiPoly(self.ring, self.n, acc)
-
-    def evaluate(self, point: Sequence[LocalRingElement]) -> LocalRingElement:
-        if len(point) != self.n:
-            raise ValueError("point length mismatch")
-        total = self.ring.zero()
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v = v * x**k
-            total = total + v
-        return total
 
     def substitute_affine(
         self, center: Sequence[LocalRingElement], scale: Sequence[int]
@@ -306,16 +265,6 @@ class ResiduePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def evaluate(self, point: Sequence[int]) -> int:
-        total = 0
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v = v * pow(x, k, self.p) % self.p
-            total += v
-        return total % self.p
-
     def partial_derivative(self, var: int) -> "ResiduePoly":
         acc: Dict[Exponents, int] = {}
         for e, c in self.terms.items():
@@ -340,20 +289,11 @@ class ResiduePoly:
     def gradient(self):
         return [self.partial_derivative(i) for i in range(self.n)]
 
-    def is_nonzero_constant(self) -> bool:
-        return list(self.terms) == [(0,) * self.n]
-
-    def is_linear_without_constant_term(self) -> bool:
-        return bool(self.terms) and all(sum(e) == 1 for e in self.terms)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ResiduePoly)
             and (self.p, self.n, self.terms) == (other.p, other.n, other.terms)
         )
-
-    def __hash__(self):
-        return hash((self.p, self.n, tuple(sorted(self.terms.items()))))
 
     def render(self) -> str:
         if not self.terms:

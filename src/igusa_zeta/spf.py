@@ -53,9 +53,10 @@ from .region import ResidueRegion
 class SpfConfig:
     """Caps for the recursive engine.
 
-    max_depth bounds the dilatation recursion (no effective a priori bound
-    is computed; see module docs).  max_iterations caps the perturbation
-    iteration of the semiquasihomogeneous driver.
+    max_depth bounds the dilatation descent; it is the only bound on the
+    descent, and no a priori bound is computed (see module docs).
+    max_iterations caps the perturbation iteration of the
+    semiquasihomogeneous driver.
     """
 
     max_depth: int = 64
@@ -80,10 +81,10 @@ class SpfTrace:
 
 
 class SpfContext:
-    """Per-computation state: statistics and collected trees."""
+    """Per-computation state: the config, statistics and collected trees."""
 
-    def __init__(self, cfg: SpfConfig):
-        self.cfg = cfg
+    def __init__(self, cfg: Optional[SpfConfig] = None):
+        self.cfg = cfg if cfg is not None else SpfConfig()
         self.nodes = 0
         self.max_depth_seen = 0
         self.calls = 0
@@ -139,10 +140,7 @@ def tally_ratfun(p: int, tally: Tally) -> RatFun:
 
 
 def spf_zeta(
-    f: MultiPoly,
-    region: ResidueRegion,
-    cfg: Optional[SpfConfig] = None,
-    ctx: Optional[SpfContext] = None,
+    f: MultiPoly, region: ResidueRegion, cfg: Optional[SpfConfig] = None
 ) -> Tuple[RatFun, SpfTrace]:
     """Exact value of the zeta integral of f over the region.
 
@@ -150,26 +148,18 @@ def spf_zeta(
     for g.  Raises DepthExceeded when the descent does not flatten within
     the configured depth (suspected non-isolated singularity on the region).
     """
-    if ctx is None:
-        ctx = SpfContext(cfg if cfg is not None else SpfConfig())
-    tally, root = spf_tally(f, region, cfg, ctx)
+    ctx = SpfContext(cfg)
+    tally, root = spf_tally(f, region, ctx)
     return tally_ratfun(f.ring.p, tally), SpfTrace(root, ctx.stats_dict())
 
 
 def spf_tally(
-    f: MultiPoly,
-    region: ResidueRegion,
-    cfg: Optional[SpfConfig] = None,
-    ctx: Optional[SpfContext] = None,
+    f: MultiPoly, region: ResidueRegion, ctx: SpfContext
 ) -> Tuple[Tally, DilatationNode]:
     """The tally of the zeta integral of f over the region, and its tree.
 
     spf_zeta without building the RatFun, for callers that add tallies.
     """
-    if cfg is None:
-        cfg = SpfConfig()
-    if ctx is None:
-        ctx = SpfContext(cfg)
     ctx.calls += 1
     if f.is_zero():
         raise ZeroPolynomial("zeta integral of the zero polynomial diverges")
@@ -177,55 +167,60 @@ def spf_tally(
     if e0:
         f = f.divide_by_uniformizer(e0)
     tally: Tally = {}
-    root = _spf(f, region, 0, e0, 0, None, None, e0, ctx, tally)
+    root = _spf(f, region, e0, ctx, tally)
     ctx.roots.append(root)
     return tally, root
 
 
 def _spf(
-    f: MultiPoly,
-    region: ResidueRegion,
-    depth: int,
-    e_accum: int,
-    s_accum: int,
-    center,
-    m,
-    e_in: int,
-    ctx: SpfContext,
-    tally: Tally,
+    f: MultiPoly, region: ResidueRegion, e0: int, ctx: SpfContext, tally: Tally
 ) -> DilatationNode:
+    """The descent from f (unit content, e0 taken out) over the region, in pre-order.
+
+    A stack holds the pending dilatations, so the depth cap and not the
+    interpreter's recursion limit bounds the descent.  Children are pushed in
+    reverse and dilated when popped, so the classify_points and dilate calls,
+    tally entries and child lists come in the order of a recursive descent.
+    """
     cfg = ctx.cfg
-    if depth > cfg.max_depth:
-        raise DepthExceeded(f"dilatation depth exceeded {cfg.max_depth}")
-    ctx.max_depth_seen = max(ctx.max_depth_seen, depth)
     p, n = f.ring.p, f.n
-    cls = classify_points(f, region, cfg.budget)
-    if cls.nonzero or cls.smooth:
-        tally_add(tally, (e_accum, n + s_accum), cls.nonzero, cls.smooth)
-    node = DilatationNode(
-        center, m, e_in, e_accum, s_accum, depth, cls.nu, cls.sigma,
-        len(cls.singular) * cls.fibre, region.describe(),
-    )
-    ctx.nodes += 1
-    if cls.singular:
-        lifting = cfg.lifting if cfg.lifting is not None else Lifting(f.ring)
-        support = cls.support
-        zero = f.ring.zero()
-        # x_i = c_i + pi y_i on U maps the child region onto the singular
-        # classes {c_U} x prod_{i not in U} R_i, with Jacobian q^(-|U|)
-        scaling = tuple(int(i in support) for i in range(n))
-        child_region = ResidueRegion.product(
-            p, [range(p) if i in support else region.allowed[i] for i in range(n)]
+    top: List[DilatationNode] = []
+    # (siblings, parent polynomial, region, depth, parent E_accum, S_accum, centre, scaling)
+    stack = [(top, f, region, 0, 0, 0, None, None)]
+    while stack:
+        siblings, f, region, depth, e_accum, s_accum, center, m = stack.pop()
+        f, e = (f, e0) if center is None else dilate(f, center, m)
+        e_accum += e
+        if depth > cfg.max_depth:
+            raise DepthExceeded(f"dilatation depth exceeded {cfg.max_depth}")
+        ctx.max_depth_seen = max(ctx.max_depth_seen, depth)
+        cls = classify_points(f, region, cfg.budget)
+        if cls.nonzero or cls.smooth:
+            tally_add(tally, (e_accum, n + s_accum), cls.nonzero, cls.smooth)
+        node = DilatationNode(
+            center, m, e, e_accum, s_accum, depth, cls.nu, cls.sigma,
+            len(cls.singular) * cls.fibre, region.describe(),
         )
-        for point in cls.singular:
-            c_u = dict(zip(support, point))
-            c_box = tuple(lifting[c_u[i]] if i in c_u else zero for i in range(n))
-            f_desc, e_desc = dilate(f, c_box, scaling)
-            node.children.append(_spf(
-                f_desc, child_region, depth + 1, e_accum + e_desc, s_accum + len(support),
-                c_box, scaling, e_desc, ctx, tally,
-            ))
-    return node
+        ctx.nodes += 1
+        siblings.append(node)
+        if cls.singular:
+            lifting = cfg.lifting if cfg.lifting is not None else Lifting(f.ring)
+            support = cls.support
+            zero = f.ring.zero()
+            # x_i = c_i + pi y_i on U maps the child region onto the singular
+            # classes {c_U} x prod_{i not in U} R_i, with Jacobian q^(-|U|)
+            scaling = tuple(int(i in support) for i in range(n))
+            child_region = ResidueRegion.product(
+                p, [range(p) if i in support else region.allowed[i] for i in range(n)]
+            )
+            for point in reversed(cls.singular):
+                c_u = dict(zip(support, point))
+                c_box = tuple(lifting[c_u[i]] if i in c_u else zero for i in range(n))
+                stack.append((
+                    node.children, f, child_region, depth + 1, e_accum, s_accum + len(support),
+                    c_box, scaling,
+                ))
+    return top[0]
 
 
 def series_check(

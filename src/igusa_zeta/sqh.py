@@ -227,9 +227,7 @@ def _levels(terms, cell: ValuationCell) -> List[Tuple[int, Tuple[int, ...]]]:
     return [(v + sum(a * k for a, k in zip(cell.m, e)), e) for e, v in terms]
 
 
-def _cell_integral(
-    F: MultiPoly, terms, cell: ValuationCell, cfg: SpfConfig, ctx: SpfContext
-) -> CellIntegral:
+def _cell_integral(F: MultiPoly, terms, cell: ValuationCell, ctx: SpfContext) -> CellIntegral:
     """F over one cell: closed from the exponents when it can be, else by the engine.
 
     When a single monomial c y^e has the lowest level and uses only the
@@ -251,7 +249,7 @@ def _cell_integral(
         tally, e = {(0, F.n): (region.card(), 0)}, low
     else:
         e, _, f_cell, target = cell_change_of_variables(F, cell)
-        tally, root = spf_tally(f_cell, target, cfg, ctx)
+        tally, root = spf_tally(f_cell, target, ctx)
     return CellIntegral(tally_shift(tally, e, cell.depth_shift()), e, root)
 
 
@@ -273,7 +271,6 @@ def _tail_stays_above(shifted: MultiPoly, e: int, node: DilatationNode) -> bool:
 def _cell_integrals(
     F: MultiPoly,
     w: WeightSystem,
-    cfg: SpfConfig,
     ctx: SpfContext,
     limit: Optional[LimitCells] = None,
 ) -> Dict[ValuationCell, CellIntegral]:
@@ -296,7 +293,7 @@ def _cell_integrals(
             ctx.add_tree(known.root, known.nodes, known.depth)
             out[cell] = known
         else:
-            out[cell] = _cell_integral(F, terms, cell, cfg, ctx)
+            out[cell] = _cell_integral(F, terms, cell, ctx)
     return out
 
 
@@ -314,24 +311,14 @@ def _complement_sum(p: int, cells: Dict[ValuationCell, CellIntegral]) -> RatFun:
     return total
 
 
-def limit_cells(
-    f: MultiPoly,
-    w: WeightSystem,
-    cfg: Optional[SpfConfig] = None,
-    ctx: Optional[SpfContext] = None,
-) -> LimitCells:
+def limit_cells(f: MultiPoly, w: WeightSystem, ctx: Optional[SpfContext] = None) -> LimitCells:
     """f over every complement cell of A_alpha, kept for reuse by the iterates."""
-    if cfg is None:
-        cfg = SpfConfig()
-    if ctx is None:
-        ctx = SpfContext(cfg)
-    return LimitCells(f, _cell_integrals(f, w, cfg, ctx))
+    return LimitCells(f, _cell_integrals(f, w, ctx or SpfContext()))
 
 
 def zeta_on_complement(
     F: MultiPoly,
     w: WeightSystem,
-    cfg: Optional[SpfConfig] = None,
     ctx: Optional[SpfContext] = None,
     limit: Optional[LimitCells] = None,
 ) -> RatFun:
@@ -347,11 +334,7 @@ def zeta_on_complement(
     has a single geometric denominator, so after cancellation the sum's
     denominator divides (1 - q^(-1) t); that is asserted.
     """
-    if cfg is None:
-        cfg = SpfConfig()
-    if ctx is None:
-        ctx = SpfContext(cfg)
-    return _complement_sum(F.ring.p, _cell_integrals(F, w, cfg, ctx, limit))
+    return _complement_sum(F.ring.p, _cell_integrals(F, w, ctx or SpfContext(), limit))
 
 
 @dataclass
@@ -398,8 +381,6 @@ def zeta_semiquasihomogeneous(
     surfaces as DepthExceeded or StabilizationNotReached, never as a wrong
     value that the caps silently accept.
     """
-    if cfg is None:
-        cfg = SpfConfig()
     if F.is_zero():
         raise ZeroPolynomial("zeta integral of the zero polynomial diverges")
     e0 = F.content_valuation()
@@ -409,7 +390,7 @@ def zeta_semiquasihomogeneous(
     w = dec.weights
     p = F.ring.p
     ctx = SpfContext(cfg)
-    limit = limit_cells(dec.quasi, w, cfg, ctx)
+    limit = limit_cells(dec.quasi, w, ctx)
     c_limit = _complement_sum(p, limit.cells)
     u_scale = Fraction(1, p**w.total)
 
@@ -417,24 +398,24 @@ def zeta_semiquasihomogeneous(
         k0 = 0
         value = c_limit.geometric_close(w.total, w.d)
     else:
-        iterates: List[RatFun] = [zeta_on_complement(F, w, cfg, ctx, limit)]
+        iterates: List[RatFun] = [zeta_on_complement(F, w, ctx, limit)]
         current = F
         tail_level = dec.tail.content_valuation()
         k0 = None
-        for k in range(1, cfg.max_iterations + 1):
+        for k in range(1, ctx.cfg.max_iterations + 1):
             current = scale_step(current, w)
             tail_k = current - dec.quasi
             level = tail_k.content_valuation()
             if level <= tail_level:
                 raise InvariantViolation("tail valuation failed to increase")
             tail_level = level
-            iterates.append(zeta_on_complement(current, w, cfg, ctx, limit))
+            iterates.append(zeta_on_complement(current, w, ctx, limit))
             if k >= 2 and iterates[k - 1] == c_limit and iterates[k] == c_limit:
                 k0 = k - 1
                 break
         if k0 is None:
             raise StabilizationNotReached(
-                f"no stabilization within {cfg.max_iterations} iterations"
+                f"no stabilization within {ctx.cfg.max_iterations} iterations"
             )
         value = RatFun.zero(p)
         for k in range(k0):

@@ -115,6 +115,32 @@ def int_valuation(x, p, cap):
     return v
 
 
+def evaluate(f, point):
+    """f at a point of the ring, one term at a time."""
+    if len(point) != f.n:
+        raise ValueError("point length mismatch")
+    total = f.ring.zero()
+    for e, c in f.terms.items():
+        v = c
+        for x, k in zip(point, e):
+            if k:
+                v = v * x**k
+        total = total + v
+    return total
+
+
+def evaluate_residue(fbar, point):
+    """The residue polynomial fbar at a point of F_p^n, as an int in [0, p)."""
+    total = 0
+    for e, c in fbar.terms.items():
+        v = c
+        for x, k in zip(point, e):
+            if k:
+                v = v * pow(x, k, fbar.p) % fbar.p
+        total += v
+    return total % fbar.p
+
+
 def int_poly(ring, n, terms):
     """The polynomial with integer coefficients {exponents: c} over ring."""
     return MultiPoly(ring, n, {e: ring.from_int(c) for e, c in terms.items()})

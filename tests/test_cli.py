@@ -108,6 +108,9 @@ def test_exit_code_depth(capsys):
     # a line of singular points: the default cap fires as well
     code, _, _ = run(capsys, "compute", "x^2*y", "--prime", "3")
     assert code == 4
+    # a cap past the interpreter's recursion limit still ends in the cap
+    code, _, err = run(capsys, "compute", "x^2*y", "--prime", "3", "--max-depth", "1200")
+    assert code == 4 and "dilatation depth exceeded 1200" in err
 
 
 @pytest.mark.parametrize("poly, prime", [

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -7,19 +6,15 @@ import pytest
 
 from igusa_zeta import (
     BudgetExceeded,
-    L_measure,
     LocalRing,
     MultiPoly,
-    NotApplicable,
     ResidueRegion,
     classify_points,
     dilate,
-    l_measure,
-    mu_procedure,
     parse,
 )
 
-from _util import int_poly, random_poly
+from _util import evaluate_residue, int_poly, random_poly
 
 Z5 = LocalRing(5)
 Z3 = LocalRing(3)
@@ -64,14 +59,14 @@ def expand_singular(cls, region):
 
 
 def reference_classify(f, region):
-    """One ResiduePoly.evaluate per point and partial, in the region's order."""
+    """One evaluate_residue per point and partial, in the region's order."""
     fbar = f.reduce_mod_pi()
     grad = fbar.gradient()
     nonvanishing, smooth, singular = 0, 0, []
     for point in region.points():
-        if fbar.evaluate(point) != 0:
+        if evaluate_residue(fbar, point) != 0:
             nonvanishing += 1
-        elif any(g.evaluate(point) != 0 for g in grad):
+        elif any(evaluate_residue(g, point) != 0 for g in grad):
             smooth += 1
         else:
             singular.append(point)
@@ -194,63 +189,3 @@ def test_dilate_identity_random():
             fp, e = dilate(f, point, m)
             assert fp.content_valuation() == 0
             assert fp * ring.pi(e) == f.substitute_affine(point, m)
-
-
-def test_L_measure_examples():
-    f = parse("x^2 + y^3", Z5)
-    assert L_measure(f, (Z5.zero(), Z5.from_int(5))) == 2
-    assert L_measure(parse("x", Z5), (Z5.zero(),)) == 0
-    assert L_measure(f, (Z5.zero(), Z5.zero())) == math.inf
-    # l drops the value term: at (0, 5) the partials are (0, 75)
-    assert l_measure(f, (Z5.zero(), Z5.from_int(5))) == 2
-    assert l_measure(parse("x", Z5), (Z5.from_int(5),)) == 0
-
-
-def test_mu_procedure_constant_case():
-    mu, out, e = mu_procedure(parse("x^2 + 5", Z5), (Z5.zero(),))
-    assert (mu, e) == (1, 1)
-    assert out == parse("5*x^2 + 1", Z5)
-    assert out.reduce_mod_pi().is_nonzero_constant()
-
-
-def test_mu_procedure_descent_case():
-    f = parse("x^2 + y^3", Z5)
-    point = (Z5.zero(), Z5.from_int(5))
-    L = L_measure(f, point)
-    mu, out, e = mu_procedure(f, point)
-    assert mu <= L + 2
-    bar = out.reduce_mod_pi()
-    assert bar.is_nonzero_constant() or bar.is_linear_without_constant_term()
-    # minimality: every smaller scaling fails the postcondition
-    for smaller in range(1, mu):
-        scaled, _ = dilate(f, point, (smaller,) * 2)
-        sbar = scaled.reduce_mod_pi()
-        assert not (sbar.is_nonzero_constant() or sbar.is_linear_without_constant_term())
-
-
-def test_mu_procedure_charp():
-    f = parse("x^2 + u^2", F5PI)
-    mu, out, e = mu_procedure(f, (F5PI.zero(),))
-    bar = out.reduce_mod_pi()
-    assert bar.is_nonzero_constant() or bar.is_linear_without_constant_term()
-    assert mu <= L_measure(f, (F5PI.zero(),)) + 2
-
-
-def test_mu_procedure_not_applicable():
-    # smooth residue point
-    with pytest.raises(NotApplicable):
-        mu_procedure(parse("x", Z5), (Z5.zero(),))
-    # singular over the ring itself
-    with pytest.raises(NotApplicable):
-        mu_procedure(parse("x^2 + y^3", Z5), (Z5.zero(), Z5.zero()))
-
-
-def test_mu_descent_decreases_L():
-    # inner steps of the descent strictly decrease L when the first scaling
-    # does not already flatten the point
-    f = parse("x^2 + y^3", Z5)
-    point = (Z5.zero(), Z5.from_int(5))
-    scaled, e = dilate(f, point, (1, 1))
-    zero2 = (Z5.zero(), Z5.zero())
-    if e >= 2:
-        assert L_measure(scaled, zero2) <= L_measure(f, point) - 1

@@ -28,6 +28,8 @@ from igusa_zeta.poly import MultiPoly
 from igusa_zeta.region import Polydisc, cell_change_of_variables, complement_cells
 from igusa_zeta.spf import SpfContext, tally_ratfun
 
+from _util import evaluate_residue
+
 Z5 = LocalRing(5)
 Z7 = LocalRing(7)
 F5PI = LocalRing(5, positive_char=True)
@@ -370,7 +372,7 @@ def test_constant_coefficient_is_nonvanishing_mass():
         fbar = f.reduce_mod_pi()
         p, n = ring.p, f.n
         nonzero = sum(
-            1 for q in itertools.product(range(p), repeat=n) if fbar.evaluate(q) != 0
+            1 for q in itertools.product(range(p), repeat=n) if evaluate_residue(fbar, q) != 0
         )
         assert Z.series_expand(0)[0] == Fraction(nonzero, p**n)
 
