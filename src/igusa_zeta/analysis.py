@@ -30,7 +30,10 @@ def solution_counts(
 
     One lifting pass counts every level.  ``budget`` caps the lifting
     candidates N_(j-1) p^n of each level (BudgetExceeded beyond it).
+    Negative ``levels`` raise ValueError.
     """
+    if levels < 0:
+        raise ValueError("levels must be >= 0")
     from . import _kernels  # numpy is loaded by the first count, not by the engine
 
     ring = f.ring

@@ -150,6 +150,37 @@ def _render_compute(args, f: MultiPoly, Z: RatFun, report, poincare, counts) -> 
     return "\n".join(lines)
 
 
+def _json_chunks(doc):
+    """The text of json.dump(doc, sort_keys=True) in pieces, on an explicit stack.
+
+    json's encoders recurse once per nesting level, so a dilatation tree
+    deeper than the interpreter's recursion limit needs this one.  Keys are
+    strings, as in every document the CLI writes.
+    """
+    stack = [[iter(((None, doc),)), "", True]]  # items, closing bracket, first item
+    while stack:
+        frame = stack[-1]
+        item = next(frame[0], None)
+        if item is None:
+            stack.pop()
+            yield frame[1]
+            continue
+        key, value = item
+        if not frame[2]:
+            yield ", "
+        frame[2] = False
+        if key is not None:
+            yield json.dumps(key) + ": "
+        if isinstance(value, dict):
+            yield "{"
+            stack.append([iter(sorted(value.items())), "}", True])
+        elif isinstance(value, (list, tuple)):
+            yield "["
+            stack.append([((None, v) for v in value), "]", True])
+        else:
+            yield json.dumps(value)
+
+
 def cmd_compute(args) -> int:
     f = parse(args.poly, _ring(args))
     Z, record = _zeta(f, _parse_weights(args.weights), _config(args))
@@ -167,7 +198,7 @@ def cmd_compute(args) -> int:
                 "trees": [root.to_json() for root in report.roots],
             }
         with open(args.trace, "w") as handle:
-            json.dump(trace_doc, handle, sort_keys=True)
+            handle.writelines(_json_chunks(trace_doc))
     print(output)
     return 0
 

@@ -156,6 +156,17 @@ class DilatationNode:
     children: List["DilatationNode"] = field(default_factory=list)
 
     def to_json(self) -> dict:
+        """The subtree as nested dicts, built on an explicit stack (any depth)."""
+        root = self._fields()
+        stack = [(self, root)]
+        while stack:
+            node, doc = stack.pop()
+            for child in node.children:
+                doc["children"].append(child._fields())
+                stack.append((child, doc["children"][-1]))
+        return root
+
+    def _fields(self) -> dict:
         return {
             "center": None if self.center is None else [c.to_json() for c in self.center],
             "m": None if self.m is None else list(self.m),
@@ -167,10 +178,13 @@ class DilatationNode:
             "sigma": str(self.sigma),
             "singular": self.singular_count,
             "region": self.region,
-            "children": [c.to_json() for c in self.children],
+            "children": [],
         }
 
     def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """The nodes of the subtree in pre-order, on an explicit stack."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))

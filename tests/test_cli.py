@@ -212,6 +212,14 @@ def test_check_constant_term(capsys, poly):
     assert verdicts and all(line.startswith("PASS") for line in verdicts)
 
 
+@pytest.mark.parametrize("command", ["check", "oracle"])
+def test_negative_levels_rejected(capsys, command):
+    code, out, err = run(capsys, command, "x^2+y^3", "--prime", "5", "--levels", "-2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: levels must be >= 0\n"
+
+
 def test_trace_export(tmp_path, capsys):
     trace = tmp_path / "trace.json"
     code, _, _ = run(capsys, "compute", "x^2+5", "--prime", "5", "--trace", str(trace))
@@ -233,6 +241,20 @@ def test_trace_export_with_iterates(tmp_path, capsys, poly, prime, digest):
     code, _, _ = run(capsys, "compute", poly, "--prime", prime, "--trace", str(trace))
     assert code == 0
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
+
+
+def test_trace_export_deeper_than_recursion_limit(tmp_path, capsys):
+    # x^2 + 3^2400 descends 1200 levels, past the interpreter's recursion
+    # limit; the tree is written without recursing (json.loads of it would not be)
+    trace = tmp_path / "trace.json"
+    code, out, _ = run(capsys, "compute", f"x^2+{3**2400}", "--prime", "3",
+                       "--max-depth", "1300", "--trace", str(trace))
+    assert code == 0 and "Z" in out
+    text = trace.read_text()
+    start = text.index('"stats": ') + len('"stats": ')
+    stats = json.loads(text[start : text.index("}", start) + 1])
+    assert stats["max_depth"] > sys.getrecursionlimit()
+    assert text.count('"E_accum": ') == stats["nodes"]
 
 
 def test_trace_export_semiquasihomogeneous(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from igusa_zeta import LocalRing, ResidueRegion, oracle_counts, parse
+from igusa_zeta import LocalRing, MultiPoly, ResidueRegion, oracle_counts, parse
 from igusa_zeta.analysis import congruence_count
 from igusa_zeta.errors import BudgetExceeded
 
@@ -97,6 +99,9 @@ CASES_PINNED = [
     ("x^2+y^2+z^2", Z5, [1, 25, 725, 18125]),
     ("x^2+y^2+z^2", LocalRing(7), [1, 49, 2695, 132055]),
     ("x^2+u*y^3", LocalRing(5, positive_char=True), [1, 5, 25, 125, 3125]),
+    # a mixed monomial in characteristic p (5^12 points at the last level),
+    # recorded from the lifting kernel that built every candidate row
+    ("x^2+u*y^3+x*y*z+u^2*z^2", LocalRing(5, positive_char=True), [1, 41, 1425, 33125, 1140625]),
 ]
 
 
@@ -126,3 +131,40 @@ def test_budget_charges_lifting_candidates():
 def test_charp_digits_past_one_byte():
     f = parse("x^2", LocalRing(257, positive_char=True))
     assert oracle_counts(f, 3) == [1, 1, 257, 257]
+
+
+@st.composite
+def counting_cases(draw):
+    """(f, levels, allowed sets or None) with p^(n levels) at most 5000."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    levels = draw(st.integers(1, max(1, max(j for j in range(1, 13) if p ** (n * j) <= 5000))))
+    positive_char = draw(st.booleans())
+    ring = LocalRing(p, positive_char=positive_char)
+    terms = {}
+    # mixed monomials and the constant monomial (0, ..., 0) are both drawn
+    for e in draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=5)):
+        v = draw(st.integers(0, 2))  # coefficients of positive valuation
+        if positive_char:
+            c = ring.from_digits(draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3)))
+        else:
+            c = ring.from_int(draw(st.integers(-7, 7)))
+        terms[e] = c * ring.pi(v)
+    f = MultiPoly(ring, n, terms)
+    allowed = None
+    if draw(st.booleans()):
+        allowed = [frozenset(draw(st.sets(st.integers(0, p - 1)))) for _ in range(n)]
+    return f, levels, allowed
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(counting_cases())
+def test_lift_counts_match_reference_property(case):
+    f, levels, allowed = case
+    region = None if allowed is None else ResidueRegion.product(f.ring.p, allowed)
+    member = None if allowed is None else (lambda r: all(x in a for x, a in zip(r, allowed)))
+    brute = brute_counts_charp if f.ring.positive_char else brute_counts_char0
+    expected = brute(f, levels, member)
+    assert [1] + [congruence_count(f, j, region) for j in range(1, levels + 1)] == expected
+    if region is None:
+        assert oracle_counts(f, levels) == expected
