@@ -20,7 +20,6 @@ from .errors import (
     NonUnitContent,
     NotSemiQuasiHomogeneous,
     PolynomialSyntaxError,
-    StabilizationNotReached,
     UniformizerInCharZero,
     ZeroPolynomial,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "SpfTrace",
     "SqhDecomposition",
     "SqhReport",
-    "StabilizationNotReached",
     "UniformizerInCharZero",
     "ValuationCell",
     "WeightSystem",

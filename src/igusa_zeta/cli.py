@@ -7,8 +7,8 @@ exhaustively, and ``check`` cross-validates the two (plus the two-term
 closed form when it applies).
 
 Exit codes are stable: 0 success, 2 parse error, 3 no admissible weight
-system, 4 recursion depth cap, 5 stabilization cap, 6 enumeration budget,
-1 anything else.
+system or bad weight hint, 4 recursion depth cap, 6 enumeration budget,
+1 anything else (5 is retired).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .errors import (
     InvalidHint,
     NotSemiQuasiHomogeneous,
     PolynomialSyntaxError,
-    StabilizationNotReached,
 )
 from .poly import MultiPoly, parse
 from .ratfun import RatFun
@@ -39,7 +38,6 @@ EXIT_CODES = (
     (PolynomialSyntaxError, 2),
     ((NotSemiQuasiHomogeneous, InvalidHint), 3),
     (DepthExceeded, 4),
-    (StabilizationNotReached, 5),
     (BudgetExceeded, 6),
 )
 
@@ -63,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="enumeration budget: residue points per classification, "
                             "lifting candidates N_(j-1)*p^n per counting level")
         p.add_argument("--max-depth", type=int, default=64, help="dilatation recursion cap")
-        p.add_argument("--max-iter", type=int, default=32, help="stabilization iteration cap")
 
     c = sub.add_parser("compute", help="compute Z(f, s) via the weight-system driver")
     common(c)
@@ -100,11 +97,7 @@ def _ring(args) -> LocalRing:
 
 
 def _config(args) -> spf.SpfConfig:
-    return spf.SpfConfig(
-        max_depth=args.max_depth,
-        budget=args.budget,
-        max_iterations=args.max_iter,
-    )
+    return spf.SpfConfig(max_depth=args.max_depth, budget=args.budget)
 
 
 def _zeta(f: MultiPoly, hint: Optional[sqh.WeightSystem], cfg: spf.SpfConfig):
@@ -182,6 +175,8 @@ def _json_chunks(doc):
 
 
 def cmd_compute(args) -> int:
+    if args.expand < 0:
+        raise ValueError("expand must be >= 0")
     f = parse(args.poly, _ring(args))
     Z, record = _zeta(f, _parse_weights(args.weights), _config(args))
     report = None if isinstance(record, spf.SpfTrace) else record

@@ -58,10 +58,6 @@ class DepthExceeded(EngineError):
     """
 
 
-class StabilizationNotReached(EngineError):
-    """The perturbation iteration did not stabilize within the iteration cap."""
-
-
 class InvalidParameters(EngineError):
     """Closed-form generator called with parameters outside its hypotheses."""
 

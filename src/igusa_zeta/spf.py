@@ -54,14 +54,13 @@ class SpfConfig:
     """Caps for the recursive engine.
 
     max_depth bounds the dilatation descent; it is the only bound on the
-    descent, and no a priori bound is computed (see module docs).
-    max_iterations caps the perturbation iteration of the
-    semiquasihomogeneous driver.
+    descent, and no a priori bound is computed (see module docs).  budget
+    caps the residue points of one classification.  The semiquasihomogeneous
+    driver's iteration needs no cap: sqh bounds it by the reuse lemma.
     """
 
     max_depth: int = 64
     budget: int = DEFAULT_BUDGET
-    max_iterations: int = 32
     lifting: Optional[Lifting] = None
 
     def __post_init__(self):

@@ -12,9 +12,11 @@ tail closes the sum:
     Z(F) = sum_{k < k0} u^k C_k  +  u^k0 C_inf / (1 - u),      u = q^(-|alpha|) t^d,
 
 with C_k the complement integral of the k-th iterate and C_inf that of f.
-Stabilization is detected dynamically (two consecutive iterates equal to
-C_inf) rather than through an a priori bound; the series cross-check in the
-analysis module certifies the result independently.
+Stabilization is detected by value (two consecutive iterates equal to
+C_inf), within a bound k* read off the limit's cells by the reuse lemma
+below (see _reuse_index): from iterate k* on every cell is reused, so the
+test fires by iterate max(k* + 1, 2).  spf.series_check certifies the
+result independently.
 
 The complement of A_alpha is partitioned into |alpha| valuation cells (see
 region.complement_cells): with the coordinates ordered by decreasing
@@ -63,7 +65,6 @@ from .errors import (
     InvalidHint,
     InvariantViolation,
     NotSemiQuasiHomogeneous,
-    StabilizationNotReached,
     ZeroPolynomial,
 )
 from .neron import DilatationNode
@@ -136,6 +137,8 @@ def detect_weights(F: MultiPoly, hint: Optional[WeightSystem] = None) -> SqhDeco
     if not F.constant_term().is_zero():
         raise NotSemiQuasiHomogeneous("polynomial has a constant term")
     if hint is not None:
+        if len(hint.alpha) != F.n:
+            raise InvalidHint(f"weight hint has {len(hint.alpha)} weights for {F.n} variables")
         degrees = {e: weighted_degree(e, hint.alpha) for e in F.terms}
         below = [e for e, deg in degrees.items() if deg < hint.d]
         if below:
@@ -195,7 +198,8 @@ class CellIntegral:
     residue region: the engine's tally of V with every key (E, k) moved to
     (E + e, k + d).
     nodes and depth describe the dilatation tree under root, whose stored
-    centres, scalings and contents the iterates replay their tails against.
+    centres, scalings and contents the iterates replay their tails against,
+    and e_max is the largest E_accum in it.
     """
 
     value: Tally
@@ -203,11 +207,13 @@ class CellIntegral:
     root: DilatationNode
     nodes: int = field(init=False)
     depth: int = field(init=False)
+    e_max: int = field(init=False)
 
     def __post_init__(self):
         tree = list(self.root.walk())
         self.nodes = len(tree)
         self.depth = max(node.depth for node in tree)
+        self.e_max = max(node.E_accum for node in tree)
 
 
 @dataclass
@@ -257,15 +263,41 @@ def _tail_stays_above(shifted: MultiPoly, e: int, node: DilatationNode) -> bool:
     """Whether the tail, moved onto node as shifted, keeps f's tree under node.
 
     shifted is the tail after the node's substitution and before its
-    content e is taken out; see the reuse replay of the module docs.
+    content e is taken out; see the reuse replay of the module docs.  The
+    subtree is walked in pre-order on an explicit stack, each child's tail
+    substituted when it is popped, and the walk stops at the first failing
+    node.
     """
     if shifted.content_valuation() <= e:
         return False
-    tau = shifted.divide_by_uniformizer(e)
-    return all(
-        _tail_stays_above(tau.substitute_affine(child.center, child.m), child.e, child)
-        for child in node.children
-    )
+    stack = [(shifted.divide_by_uniformizer(e), child) for child in reversed(node.children)]
+    while stack:
+        tau, node = stack.pop()
+        shifted = tau.substitute_affine(node.center, node.m)
+        if shifted.content_valuation() <= node.e:
+            return False
+        tau = shifted.divide_by_uniformizer(node.e)
+        stack.extend((tau, child) for child in reversed(node.children))
+    return True
+
+
+def _reuse_index(tail: MultiPoly, w: WeightSystem, limit: LimitCells) -> int:
+    """k*: an iterate from which on every limit cell is reused.
+
+    After k scaling steps the tail is sum_a c_a pi^(k (w(a) - d)) x^a over
+    its exponent vectors a, so on a cell with scaling m its content is
+    min_a v(c_a) + k (w(a) - d) + <m, a> (the monomials stay distinct).  Substitutions never lower content, so
+    the replay passes every node once that content exceeds the cell's e plus
+    the largest E_accum in its tree; k* is the least k >= 0 at which this
+    holds on every cell.
+    """
+    k_star = 0
+    terms = _valued_terms(tail)
+    for cell, known in limit.cells.items():
+        for exps, v in terms:
+            need = known.e + known.e_max + 1 - v - sum(a * k for a, k in zip(cell.m, exps))
+            k_star = max(k_star, -(-need // (weighted_degree(exps, w.alpha) - w.d)))
+    return k_star
 
 
 def _cell_integrals(
@@ -378,8 +410,10 @@ def zeta_semiquasihomogeneous(
     Returns the value and a report (weights, stabilization index k0, pole
     real parts, tree statistics).  The caller asserts that the origin is the
     only singularity over the algebraic closure; a violated assertion
-    surfaces as DepthExceeded or StabilizationNotReached, never as a wrong
-    value that the caps silently accept.
+    surfaces as DepthExceeded (exit code 4 in the CLI), never as a wrong
+    value that the cap silently accepts.  The iterates need no cap: the
+    stabilization test fires by iterate max(k* + 1, 2), k* from
+    _reuse_index, and not firing there is a bug (InvariantViolation).
     """
     if F.is_zero():
         raise ZeroPolynomial("zeta integral of the zero polynomial diverges")
@@ -402,7 +436,9 @@ def zeta_semiquasihomogeneous(
         current = F
         tail_level = dec.tail.content_valuation()
         k0 = None
-        for k in range(1, ctx.cfg.max_iterations + 1):
+        # from iterate k* on every cell is reused, so the test below fires by this k
+        last = max(_reuse_index(dec.tail, w, limit) + 1, 2)
+        for k in range(1, last + 1):
             current = scale_step(current, w)
             tail_k = current - dec.quasi
             level = tail_k.content_valuation()
@@ -414,9 +450,7 @@ def zeta_semiquasihomogeneous(
                 k0 = k - 1
                 break
         if k0 is None:
-            raise StabilizationNotReached(
-                f"no stabilization within {ctx.cfg.max_iterations} iterations"
-            )
+            raise InvariantViolation(f"no two consecutive iterates equal the limit by iterate {last}")
         value = RatFun.zero(p)
         for k in range(k0):
             value = value + iterates[k].scale(u_scale**k, w.d * k)

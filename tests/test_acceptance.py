@@ -6,7 +6,9 @@ exact: the identities under test are algebraic, so there is no tolerance
 anywhere.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 from igusa_zeta import (
     DenomFactor,
@@ -207,3 +209,37 @@ def test_exports_resolve():
     namespace = {}
     exec("from igusa_zeta import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def _self_calls(source: str):
+    """Module-level functions that call themselves by name, and methods that
+    call self.<their own name>."""
+    found = []
+    module = ast.parse(source)
+    scopes = [(module, False)] + [(c, True) for c in module.body if isinstance(c, ast.ClassDef)]
+    for scope, is_class in scopes:
+        for fn in scope.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call):
+                    continue
+                target = call.func
+                if is_class:
+                    hit = (isinstance(target, ast.Attribute) and target.attr == fn.name
+                           and isinstance(target.value, ast.Name) and target.value.id == "self")
+                else:
+                    hit = isinstance(target, ast.Name) and target.id == fn.name
+                if hit:
+                    found.append(f"{scope.name + '.' if is_class else ''}{fn.name}")
+    return found
+
+
+def test_no_function_calls_itself():
+    # trees of any depth are walked on explicit stacks; a recursive walk
+    # would end in RecursionError past the interpreter's limit
+    assert _self_calls("def f(n):\n    return f(n - 1)\n") == ["f"]
+    assert _self_calls("class A:\n    def g(self):\n        self.g()\n") == ["A.g"]
+    package = Path(__file__).resolve().parents[1] / "src" / "igusa_zeta"
+    found = {path.name: _self_calls(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}

@@ -102,6 +102,12 @@ def test_exit_code_invalid_hint(capsys):
     assert code == 3
 
 
+def test_exit_code_hint_of_wrong_length(capsys):
+    code, out, err = run(capsys, "compute", "x^2+y^3", "--prime", "5", "--weights", "3,2,1:6")
+    assert code == 3 and out == ""
+    assert err == "error: weight hint has 3 weights for 2 variables\n"
+
+
 def test_exit_code_depth(capsys):
     code, _, _ = run(capsys, "compute", "x^2*y", "--prime", "3", "--max-depth", "10")
     assert code == 4
@@ -125,6 +131,21 @@ def test_deep_two_term_curves_pass_check_at_the_default_depth(capsys, poly, prim
     assert "PASS  engine == closed form" in out and "FAIL" not in out
 
 
+def test_stabilization_past_32_iterates(capsys):
+    # the tail 3^70 y^3 needs 36 scaling steps before the complements
+    # settle; the digest is the JSON of the former 64-iterate cap
+    poly = f"x^2+{3**70}*y^3+x*y^2"
+    code, out, _ = run(capsys, "compute", poly, "--prime", "3", "--format", "json")
+    assert code == 0 and json.loads(out)["report"]["k0"] == 36
+    digest = "416231776ef6096a86885e974416530eb1c7953bf1491bcec7b31c91a5b58c47"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    code, out, _ = run(capsys, "check", poly, "--prime", "3", "--levels", "6")
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "PASS  poincare counts == oracle counts", "PASS  series expansion == valuation fibers",
+    ]
+
+
 @pytest.mark.parametrize("argv", [
     ("x^3+y^100", "--prime", "7"),
     ("x^2+y^101", "--prime", "3", "--weights", "101,2:202"),
@@ -135,12 +156,6 @@ def test_deep_degree_check_passes(capsys, argv):
     assert code == 0
     assert [line.split("  ")[0] for line in out.splitlines()[:3]] == ["PASS"] * 3
     assert "PASS  engine == closed form" in out
-
-
-def test_exit_code_stabilization(capsys):
-    code, _, _ = run(capsys, "compute", "x^2+y^3+x*y^2", "--prime", "7",
-                     "--max-iter", "0")
-    assert code == 5
 
 
 def test_exit_code_budget(capsys):
@@ -197,12 +212,6 @@ def test_check_charp(capsys):
     assert code == 0 and "FAIL" not in out
 
 
-def test_check_stabilization_cap_fails_nonzero(capsys):
-    code, _, _ = run(capsys, "check", "x^2+y^3+x*y^2", "--prime", "7",
-                     "--levels", "2", "--max-iter", "0")
-    assert code == 5
-
-
 @pytest.mark.parametrize("poly", ["x^2+5", "x^2+y^3+1"])
 def test_check_constant_term(capsys, poly):
     # a constant term sends check through the one-region engine
@@ -218,6 +227,13 @@ def test_negative_levels_rejected(capsys, command):
     assert code == 1
     assert out == ""
     assert err == "error: levels must be >= 0\n"
+
+
+def test_negative_expand_rejected(capsys):
+    code, out, err = run(capsys, "compute", "x^2+y^3", "--prime", "5", "--expand", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: expand must be >= 0\n"
 
 
 def test_trace_export(tmp_path, capsys):

@@ -11,7 +11,6 @@ from igusa_zeta import (
     RatFun,
     ResidueRegion,
     SpfConfig,
-    StabilizationNotReached,
     WeightSystem,
     ZeroPolynomial,
     detect_weights,
@@ -256,6 +255,52 @@ def test_tail_replay_checks_every_node():
     assert trace_five.root.to_json() != trace.root.to_json()
 
 
+def test_tail_replay_deeper_than_recursion_limit():
+    # x^2 + 3^2400 descends as a chain: each node dilates x -> 3x and takes
+    # out e = 2, down to x^2 + 1 at depth 1200.  A tail 3^a x has content
+    # a + 2 - j against e = 2 at depth j >= 1, so a = 1201 passes every node
+    # and a = 1200 fails at the deepest node only.
+    Z3 = LocalRing(3)
+    _, trace = spf_zeta(parse(f"x^2+{3**2400}", Z3), ResidueRegion.full(3, 1),
+                        SpfConfig(max_depth=1300))
+    chain = list(trace.root.walk())
+    assert [node.depth for node in chain] == list(range(1201))
+    assert all(node.e == 2 and len(node.children) == (node.depth < 1200) for node in chain[1:])
+    for a, passes in [(5000, True), (1201, True), (1200, False)]:
+        tail = parse(f"{3**a}*x", Z3)
+        assert sqh._tail_stays_above(tail, 0, trace.root) == passes
+
+
+@pytest.mark.parametrize("text, ring", list(FRESH_CALLS))
+def test_reuse_index_bounds_the_iterates(text, ring, monkeypatch):
+    # iterate k* reuses every limit cell, so the driver's stabilization test
+    # fires by iterate max(k* + 1, 2)
+    F = parse(text, ring)
+    dec = detect_weights(F)
+    w = dec.weights
+    limit = limit_cells(dec.quasi, w)
+    k_star = sqh._reuse_index(dec.tail, w, limit)
+    current = F
+    for _ in range(k_star):
+        current = scale_step(current, w)
+    calls = EngineCalls(monkeypatch)
+    cells = sqh._cell_integrals(current, w, SpfContext(), limit)
+    assert all(cells[cell] is known for cell, known in limit.cells.items())
+    assert calls.count == 0
+    _, report = zeta_semiquasihomogeneous(F)
+    assert report.k0 + 1 <= max(k_star + 1, 2)
+
+
+@pytest.mark.parametrize("a, k_star, k0", [(20, 6, 4), (100, 33, 17)])
+def test_reuse_index_against_k0(a, k_star, k0):
+    # x^2 + 3^a y^3 + x y^3 at p = 3: k* grows with a as k0 does
+    F = parse(f"x^2+{3**a}*y^3+x*y^3", LocalRing(3))
+    dec = detect_weights(F)
+    limit = limit_cells(dec.quasi, dec.weights)
+    assert sqh._reuse_index(dec.tail, dec.weights, limit) == k_star
+    assert zeta_semiquasihomogeneous(F)[1].k0 == k0
+
+
 @pytest.mark.parametrize("text, ring", [
     ("x^2+y^2+z^4+z^5", Z5),
     ("x^3+y^5+x^2*y^2+y^6", Z5),
@@ -342,12 +387,6 @@ def test_driver_charp_with_pi_tail():
     f = parse("x^2+y^3+u*x*y^2", F5PI)
     Z, _ = zeta_semiquasihomogeneous(f)
     assert series_check(f, ResidueRegion.full(5, 2), Z, 3)
-
-
-def test_stabilization_cap():
-    f = parse("x^2+y^3+x*y^2", Z7)
-    with pytest.raises(StabilizationNotReached):
-        zeta_semiquasihomogeneous(f, cfg=SpfConfig(max_iterations=0))
 
 
 def test_driver_needs_two_exceptional_terms():
