@@ -58,8 +58,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="field characteristic: 0 for Q_p, p for F_p((u))")
         p.add_argument("--format", choices=["text", "json", "latex"], default="text")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="enumeration budget: residue points per classification, "
-                            "lifting candidates N_(j-1)*p^n per counting level")
+                       help="enumeration budget (>= 1): per classification, the residue "
+                            "points of its parts, p^2 per histogram convolution and the "
+                            "critical-point combinations; lifting candidates N_(j-1)*p^n "
+                            "per counting level")
         p.add_argument("--max-depth", type=int, default=64, help="dilatation recursion cap")
 
     c = sub.add_parser("compute", help="compute Z(f, s) via the weight-system driver")
@@ -255,6 +257,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {"compute": cmd_compute, "oracle": cmd_oracle, "check": cmd_check}
     try:
+        if args.budget < 1:
+            raise ValueError("budget must be >= 1")
         return handlers[args.command](args)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,8 +28,10 @@ class InsufficientValuation(EngineError):
 class BudgetExceeded(EngineError):
     """An enumeration would exceed the configured budget.
 
-    The budget caps the p^n residue points of one classification and the
-    N_(j-1) p^n lifting candidates of one congruence-counting level.
+    The budget caps the work of one classification (the residue points of
+    its parts, p^2 per histogram convolution and the combinations of
+    critical points it visits) and the N_(j-1) p^n lifting candidates of one
+    congruence-counting level.
     """
 
 

@@ -9,6 +9,7 @@ records each step of that descent.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -30,9 +31,12 @@ class PointClassification:
     not in U), which the reduction does not see.  nonzero counts the residue
     points of the region where the reduction does not vanish and smooth
     those where it vanishes to order one; singular lists the singular points
-    c_U of the reduction on prod_{i in U} R_i, so the region's singular
-    points are {c_U} x prod_{i not in U} R_i.  total is p^n, so nu and sigma,
-    the measures of the first two sets, are nonzero/total and smooth/total.
+    c_U of the reduction on prod_{i in U} R_i in lexicographic order, so the
+    region's singular points are {c_U} x prod_{i not in U} R_i.  The counts
+    come from per-part value histograms (see classify_points), so a
+    reduction that splits into parts is never walked over all of
+    prod_{i in U} R_i.  total is p^n, so nu and sigma, the measures of the
+    first two sets, are nonzero/total and smooth/total.
     """
 
     nonzero: int
@@ -51,74 +55,209 @@ class PointClassification:
         return Fraction(self.smooth, self.total)
 
 
+class Part:
+    """One part P of a reduction: g_P at the points of prod_{i in P} R_i.
+
+    coords are the coordinates of P, terms the monomials of g_P as
+    (exponents, coefficient), points prod_{i in P} R_i in lexicographic
+    order and values g_P mod p at each point.
+    """
+
+    __slots__ = ("coords", "terms", "points", "values")
+
+    def __init__(
+        self,
+        coords: Tuple[int, ...],
+        terms: List[Tuple[Tuple[int, ...], int]],
+        points: List[Tuple[int, ...]],
+        values: List[int],
+    ):
+        self.coords = coords
+        self.terms = terms
+        self.points = points
+        self.values = values
+
+
 def classify_points(
     f: MultiPoly, region: ResidueRegion, budget: int = DEFAULT_BUDGET
 ) -> PointClassification:
     """Classify the residue points of the region against the reduction of f.
 
     Requires unit content (so the reduction is defined and nonzero).  Only
-    the points of prod_{i in U} R_i are enumerated, U the support of the
-    reduction, and the counts are multiplied by the fibre off U.  The
-    reduction is evaluated on all of them at once, one monomial at a time,
-    from per-coordinate tables of x^k mod p for the exponents k that occur;
-    the gradient on U is evaluated the same way on the zeros only.  Singular
-    points come out in lexicographic order.  The budget still bounds p^n.
+    the support U of the reduction is classified, and the counts are
+    multiplied by the fibre off U.  U splits into parts, two coordinates
+    sharing a part when some monomial uses both, so the reduction is
+    c + sum_P g_P with each g_P in the coordinates of P alone.  Each part
+    enumerates only its own product prod_{i in P} R_i and evaluates g_P
+    there, one monomial at a time from tables of x^k mod p.
+
+    The zeros are counted by convolving the value histograms of all parts
+    but the largest mod p, shifted by c, and joining the largest part by
+    lookup.  A singular point is a zero at which every part's gradient
+    vanishes.  The largest part's gradient is taken only at its points whose
+    value completes a zero (its zeros, when the reduction is one part); only
+    when some of them are critical are the other parts' critical points
+    found and combined.  The singular points come out in lexicographic
+    order.
+
+    The budget bounds the work, charged before it is done: the points the
+    parts enumerate, p^2 for each convolution of two parts' histograms, and
+    the combinations of the other parts' critical points.
     """
     p, n = region.p, region.n
-    if p**n > budget:
-        raise BudgetExceeded(f"{p}^{n} residue points exceed budget {budget}")
     fbar = f.reduce_mod_pi()
-    support = tuple(i for i in range(n) if any(e[i] for e in fbar.terms))
-    fbar = ResiduePoly(
-        p, len(support), {tuple(e[i] for i in support): c for e, c in fbar.terms.items()}
-    )
-    grad = fbar.gradient()
-    powers = _power_tables([fbar] + grad, p, len(support))
-    points = list(itertools.product(*(sorted(region.allowed[i]) for i in support)))
+    parts = _split_into_parts(fbar)
+    support = tuple(sorted(i for coords, _ in parts for i in coords))
     fibre = math.prod(len(region.allowed[i]) for i in range(n) if i not in support)
-    values = _evaluate_at(fbar, powers, points)
-    zeros = [point for point, v in zip(points, values) if v == 0]
-    slopes = [_evaluate_at(g, powers, zeros) for g in grad]
-    singular = [point for point, *ds in zip(zeros, *slopes) if not any(ds)]
-    if len(points) * fibre != region.card():
+    sizes = [math.prod(len(region.allowed[i]) for i in coords) for coords, _ in parts]
+    spent = sum(sizes) + max(len(parts) - 2, 0) * p * p
+    _charge(spent, budget)
+    # the largest part comes last: it is joined by lookup
+    *others, last = [
+        _evaluate_part(*parts[k], region) for k in sorted(range(len(parts)), key=sizes.__getitem__)
+    ]
+    constant = fbar.terms.get((0,) * n, 0)
+    histogram = {constant: 1}
+    for part in others:
+        histogram = _convolve(histogram, _histogram(part.values), p)
+    # a point of the last part with value v completes histogram[-v] zeros
+    completes = {-s % p: m for s, m in histogram.items()}
+    zeros = sum(map(completes.get, last.values, itertools.repeat(0)))
+    last_critical: Dict[int, List[Tuple[int, ...]]] = {}  # by value, at zeros only
+    at_zeros = [j for j, v in enumerate(last.values) if v in completes]
+    for x, v in _critical(last, at_zeros, p):
+        last_critical.setdefault(v, []).append(x)
+    singular = (
+        _join(others, last, last_critical, constant, spent, budget, p) if last_critical else []
+    )
+    size = math.prod(sizes)
+    if not len(singular) <= zeros <= size:
         raise InvariantViolation("point classification does not partition the region")
     return PointClassification(
-        (len(points) - len(zeros)) * fibre, (len(zeros) - len(singular)) * fibre,
-        support, singular, fibre, p**n,
+        (size - zeros) * fibre, (zeros - len(singular)) * fibre, support, singular, fibre, p**n,
     )
 
 
-def _power_tables(polys: Sequence[ResiduePoly], p: int, n: int) -> List[Dict[int, List[int]]]:
-    """Per coordinate, the row [x^k mod p for x in F_p] of every exponent k > 0 used."""
-    needed: List[set] = [set() for _ in range(n)]
-    for poly in polys:
-        for e in poly.terms:
-            for i, k in enumerate(e):
-                if k:
-                    needed[i].add(k)
-    return [{k: [pow(x, k, p) for x in range(p)] for k in ks} for ks in needed]
+def _join(
+    others: List[Part], last: Part, last_critical, constant: int, spent: int, budget: int, p: int
+):
+    """The singular points, in lexicographic order on the support.
+
+    Each combines critical points of the other parts with a critical point
+    of the last part from last_critical[v], v the value that brings the sum
+    to 0.  The combinations of the other parts are charged to the budget
+    first.
+    """
+    critical = [_critical(part, range(len(part.points)), p) for part in others]
+    _charge(spent + math.prod(map(len, critical)), budget)
+    combos = [((), constant)]  # residues part by part, with c + their values
+    for pairs in critical:
+        combos = [(xs + x, (s + v) % p) for xs, s in combos for x, v in pairs]
+    # perm puts residues listed part by part in support order
+    order = [i for part in others + [last] for i in part.coords]
+    perm = sorted(range(len(order)), key=order.__getitem__)
+    return sorted(
+        tuple(map((xs + x).__getitem__, perm))
+        for xs, s in combos for x in last_critical.get(-s % p, ())
+    )
 
 
-def _evaluate_at(
-    poly: ResiduePoly, powers: List[Dict[int, List[int]]], points: List[Tuple[int, ...]]
-) -> List[int]:
-    """Values mod p of poly at the points, one monomial at a time over all of them."""
-    columns = [[point[i] for point in points] for i in range(poly.n)]
-    total = [0] * len(points)
-    for e, c in poly.terms.items():
+def _charge(spent: int, budget: int):
+    if spent > budget:
+        raise BudgetExceeded(
+            f"classification takes {spent} steps (points of the parts, p^2 per convolution,"
+            f" critical combinations), more than budget {budget}"
+        )
+
+
+def _split_into_parts(fbar: ResiduePoly) -> List[Tuple[Tuple[int, ...], list]]:
+    """The nonconstant terms of fbar grouped into parts, as (coords, terms), by least coordinate.
+
+    Two coordinates share a part when some monomial uses both.  A constant
+    fbar is one empty part, whose one point () has value 0.
+    """
+    groups: List[Tuple[set, list]] = []
+    for e, c in fbar.terms.items():
+        used = {i for i, k in enumerate(e) if k}
+        if used:
+            coords, terms = used, [(e, c)]
+            for group in [g for g in groups if not used.isdisjoint(g[0])]:
+                coords |= group[0]
+                terms += group[1]
+                groups.remove(group)
+            groups.append((coords, terms))
+    return sorted((tuple(sorted(coords)), terms) for coords, terms in groups) or [((), [])]
+
+
+def _evaluate_part(coords, terms, region: ResidueRegion) -> Part:
+    points = list(itertools.product(*(sorted(region.allowed[i]) for i in coords)))
+    return Part(coords, terms, points, _evaluate_at(terms, coords, points, region.p))
+
+
+def _critical(part: Part, indices, p: int) -> List[Tuple[Tuple[int, ...], int]]:
+    """The (point, value) pairs among the indexed ones at which every partial of g_P vanishes.
+
+    Each partial is evaluated only at the points the previous ones kept.
+    """
+    for i in part.coords:
+        if not indices:
+            break
+        partial = [(e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in part.terms if e[i]]
+        slopes = _evaluate_at(partial, part.coords, [part.points[j] for j in indices], p)
+        indices = [j for j, s in zip(indices, slopes) if not s]
+    return [(part.points[j], part.values[j]) for j in indices]
+
+
+def _histogram(values: List[int]) -> Dict[int, int]:
+    counts: Dict[int, int] = {}
+    for v in values:
+        counts[v] = counts.get(v, 0) + 1
+    return counts
+
+
+def _convolve(a: Dict[int, int], b: Dict[int, int], p: int) -> Dict[int, int]:
+    """The histogram of u + v mod p for u, v drawn from the histograms a and b."""
+    out: Dict[int, int] = {}
+    for u, m in a.items():
+        for v, k in b.items():
+            w = (u + v) % p
+            out[w] = out.get(w, 0) + m * k
+    return out
+
+
+@functools.lru_cache(maxsize=128)
+def _power_row(p: int, k: int) -> Tuple[int, ...]:
+    """(x^k mod p for x in F_p).
+
+    One computation meets a few (p, k) at every node, so the rows are kept;
+    at most 128 of them, so they hold at most 128 p integers.
+    """
+    return tuple(pow(x, k, p) for x in range(p))
+
+
+def _evaluate_at(terms, coords, points, p: int) -> List[int]:
+    """Values mod p of the sum of the terms at points on the coordinates coords.
+
+    One monomial at a time over all the points, from the rows of _power_row.
+    """
+    if not points:
+        return []
+    columns = dict(zip(coords, zip(*points)))
+    total = None
+    for e, c in terms:
         vals = None
-        for i, k in enumerate(e):
+        for i in coords:
+            k = e[i]
             if k:
-                row, col = powers[i][k], columns[i]
+                row = _power_row(p, k)
                 if vals is None:
-                    vals = [row[x] for x in col]
+                    vals = [c * row[x] for x in columns[i]]
                 else:
-                    vals = [v * row[x] for v, x in zip(vals, col)]
+                    vals = [v * row[x] for v, x in zip(vals, columns[i])]
         if vals is None:
-            total = [t + c for t in total]
-        else:
-            total = [t + c * v for t, v in zip(total, vals)]
-    return [t % poly.p for t in total]
+            vals = [c] * len(points)
+        total = vals if total is None else [t + v for t, v in zip(total, vals)]
+    return [0] * len(points) if total is None else [t % p for t in total]
 
 
 def dilate(

@@ -142,13 +142,9 @@ class MultiPoly:
 
     def reduce_mod_pi(self) -> "ResiduePoly":
         """Coefficient-wise reduction; requires unit content so the result is nonzero."""
-        if self.content_valuation() > 0:
+        terms = {e: r for e, c in self.terms.items() if (r := c.reduce())}
+        if not terms:
             raise NonUnitContent("all coefficients divisible by the uniformizer")
-        terms = {}
-        for e, c in self.terms.items():
-            r = c.reduce()
-            if r:
-                terms[e] = r
         return ResiduePoly(self.ring.p, self.n, terms)
 
     def substitute_affine(

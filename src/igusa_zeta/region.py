@@ -14,13 +14,10 @@ on coordinate i), which is what the recursive engine consumes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterator, List, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
-from .coeff import DEFAULT_BUDGET
-from .errors import BudgetExceeded
 from .poly import MultiPoly
 
 
@@ -60,11 +57,6 @@ class ResidueRegion:
     def measure(self) -> Fraction:
         """Haar measure; O_K^n itself has measure one."""
         return Fraction(self.card(), self.p**self.n)
-
-    def points(self, budget: int = DEFAULT_BUDGET) -> Iterator[Tuple[int, ...]]:
-        if self.p**self.n > budget:
-            raise BudgetExceeded(f"{self.p}^{self.n} exceeds budget {budget}")
-        return itertools.product(*(sorted(a) for a in self.allowed))
 
     def describe(self) -> str:
         if self.is_full():

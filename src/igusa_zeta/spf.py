@@ -13,7 +13,8 @@ The singular zero classes come as boxes.  Let U be the coordinates that
 occur in the reduction f-bar.  Off U the reduction does not see the residue,
 so the region's singular points are Sing_U x prod_{i not in U} R_i, where
 Sing_U is the singular set of f-bar on prod_{i in U} R_i (classify_points
-enumerates only that product).  Each c_U in Sing_U gets one dilatation
+finds it part by part, without enumerating that product when f-bar is a sum
+of parts in disjoint coordinates).  Each c_U in Sing_U gets one dilatation
 x_i -> c_i + pi x_i (i in U, other coordinates unchanged), with scaling
 vector 1 on U and 0 off it, weight q^(-|U|) t^e, and a child region that is
 full on U and R_i off it.  Termination is guaranteed for regions bounded
@@ -55,7 +56,9 @@ class SpfConfig:
 
     max_depth bounds the dilatation descent; it is the only bound on the
     descent, and no a priori bound is computed (see module docs).  budget
-    caps the residue points of one classification.  The semiquasihomogeneous
+    caps the work of one classification: the residue points enumerated part
+    by part, p^2 per histogram convolution and the combinations of critical
+    points visited (see neron.classify_points).  The semiquasihomogeneous
     driver's iteration needs no cap: sqh bounds it by the reuse lemma.
     """
 

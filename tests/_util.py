@@ -141,6 +141,11 @@ def evaluate_residue(fbar, point):
     return total % fbar.p
 
 
+def region_points(region):
+    """The residue points of a ResidueRegion, in lexicographic order."""
+    return itertools.product(*(sorted(a) for a in region.allowed))
+
+
 def int_poly(ring, n, terms):
     """The polynomial with integer coefficients {exponents: c} over ring."""
     return MultiPoly(ring, n, {e: ring.from_int(c) for e, c in terms.items()})

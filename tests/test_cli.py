@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from igusa_zeta import RatFun, cli
+from igusa_zeta import DenomFactor, LocalRing, RatFun, cli, two_term_closed_form
 from igusa_zeta.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -234,6 +235,68 @@ def test_negative_expand_rejected(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: expand must be >= 0\n"
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("command", ["compute", "check", "oracle"])
+def test_budget_below_one_rejected(capsys, command, budget):
+    code, out, err = run(capsys, command, "x^2+y^3", "--prime", "5", "--budget", budget)
+    assert code == 1
+    assert out == ""
+    assert err == "error: budget must be >= 1\n"
+
+
+def cusp_zeta(p):
+    """(1-q^-1)(1 - q^-2 t + q^-2 t^2 - q^-5 t^5) / ((1 - q^-1 t)(1 - q^-5 t^6)) for x^2+y^3."""
+    q = Fraction(1, p)
+    num = [(1 - q) * c for c in (1, -q**2, q**2, 0, 0, -q**5)]
+    return RatFun(p, num, [DenomFactor(1, 1), DenomFactor(5, 6)])
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_cusp_formula_matches_closed_form(p):
+    ring = LocalRing(p)
+    assert cusp_zeta(p) == two_term_closed_form(ring, 2, 3, ring.one(), ring.one())
+
+
+def test_cusp_at_large_prime(capsys):
+    # 10007^2 points at the root; the parts x^2 and y^3 take 2 * 10007
+    code, out, _ = run(capsys, "compute", "x^2+y^3", "--prime", "10007", "--format", "json")
+    assert code == 0
+    assert RatFun.from_json(json.loads(out)["zeta"], 10007) == cusp_zeta(10007)
+
+
+def run_measured(*argv):
+    """Exit code, stdout and peak RSS in MB of one CLI run in a fresh interpreter."""
+    script = (
+        "import resource, sys, igusa_zeta.cli\n"
+        "code = igusa_zeta.cli.main(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+    )
+    return done.returncode, done.stdout, int(done.stderr.split()[-1]) / 1024
+
+
+def test_separated_reduction_in_bounded_memory(capsys):
+    # 53^4 = 7.9 million residue points at the root, 4 * 53 on the parts
+    code, _, peak_mb = run_measured("compute", "x^2+y^2+z^2+w^3", "--prime", "53")
+    assert code == 0
+    assert peak_mb < 100
+    code, out, _ = run(capsys, "check", "x^2+y^2+z^2+w^3", "--prime", "53", "--levels", "1")
+    assert code == 0 and "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["x^2+y^2+z^2+w^3", "--prime", "101"],
+    ["x1^2+x2^2+x3^2+x4^2+x5^2+x6^3", "--prime", "11"],
+])
+def test_separated_reductions_within_default_budget(capsys, argv):
+    code, out, _ = run(capsys, "compute", *argv)
+    assert code == 0 and "Z  " in out
 
 
 def test_trace_export(tmp_path, capsys):

@@ -8,8 +8,12 @@ from igusa_zeta import (
     InsufficientValuation,
     Lifting,
     LocalRing,
+    MultiPoly,
     ResidueRegion,
+    classify_points,
 )
+
+from _util import region_points
 
 Z5 = LocalRing(5)
 Z3 = LocalRing(3)
@@ -85,13 +89,16 @@ def test_times_pi():
 
 
 def test_enumerate_points():
-    assert list(ResidueRegion.full(2, 1).points()) == [(0,), (1,)]
-    pts = list(ResidueRegion.full(3, 2).points())
+    assert list(region_points(ResidueRegion.full(2, 1))) == [(0,), (1,)]
+    pts = list(region_points(ResidueRegion.full(3, 2)))
     assert len(pts) == 9
     assert pts[0] == (0, 0) and pts[-1] == (2, 2)
     assert len(set(pts)) == 9
+    # a one-part reduction on 2^64 points is refused before it is enumerated
+    Z2 = LocalRing(2)
+    one_part = MultiPoly(Z2, 64, {(1,) * 64: Z2.one()})
     with pytest.raises(BudgetExceeded):
-        ResidueRegion.full(2, 64).points()
+        classify_points(one_part, ResidueRegion.full(2, 64))
 
 
 def test_reduce_and_lift():

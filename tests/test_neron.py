@@ -14,7 +14,7 @@ from igusa_zeta import (
     parse,
 )
 
-from _util import evaluate_residue, int_poly, random_poly
+from _util import evaluate_residue, int_poly, random_poly, region_points
 
 Z5 = LocalRing(5)
 Z3 = LocalRing(3)
@@ -63,7 +63,7 @@ def reference_classify(f, region):
     fbar = f.reduce_mod_pi()
     grad = fbar.gradient()
     nonvanishing, smooth, singular = 0, 0, []
-    for point in region.points():
+    for point in region_points(region):
         if evaluate_residue(fbar, point) != 0:
             nonvanishing += 1
         elif any(evaluate_residue(g, point) != 0 for g in grad):
@@ -142,6 +142,64 @@ def test_classify_matches_pointwise_evaluation(p):
             ]
             for region in regions:
                 assert_matches_reference(f, region)
+
+
+def random_parts_poly(ring, n, rng):
+    """A polynomial whose reduction is random parts on a random partition of the coordinates.
+
+    Exponents run past p and include multiples of p, so a whole part can be
+    critical; some terms carry a coefficient divisible by pi (they drop out
+    of the reduction), and the constant term is optional.
+    """
+    p, pi = ring.p, ring.pi(1)
+    coords = rng.sample(range(n), n)
+    terms = {}
+    while coords:
+        size = rng.randint(1, len(coords))
+        block, coords = coords[:size], coords[size:]
+        if rng.random() < 0.2:
+            continue  # these coordinates stay out of f
+        critical = rng.random() < 0.25  # every exponent a multiple of p
+        for _ in range(rng.randint(1, 3)):
+            e = [0] * n
+            for i in rng.sample(block, rng.randint(1, len(block))):
+                if critical:
+                    e[i] = p * rng.randint(1, 2)
+                else:
+                    e[i] = rng.choice([rng.randint(1, 2 * p + 1), p, 2 * p])
+            c = ring.from_int(rng.randint(1, p - 1) if p > 2 else 1)
+            terms[tuple(e)] = c * pi if rng.random() < 0.15 else c
+    constant = rng.choice([0, 0, 1, rng.randint(1, 3 * p)])
+    if constant:
+        terms[(0,) * n] = ring.from_int(constant)
+    return MultiPoly(ring, n, terms)
+
+
+@pytest.mark.parametrize("positive_char", [False, True])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_classify_parts_match_reference(p, positive_char):
+    # sums of parts on disjoint coordinates, as the engine meets them, and the
+    # singular points in the reference's order, projected to the support
+    rng = random.Random(100 * p + positive_char)
+    ring = LocalRing(p, positive_char=positive_char)
+    max_n = {2: 5, 3: 4, 5: 3, 7: 3}[p]
+    cases = 0
+    while cases < 40:
+        n = rng.randint(1, max_n)
+        f = random_parts_poly(ring, n, rng)
+        if f.is_zero() or f.content_valuation() > 0:
+            continue
+        cases += 1
+        region = ResidueRegion.product(
+            p, [rng.sample(range(p), rng.randint(1, p)) for _ in range(n)]
+        )
+        for reg in (ResidueRegion.full(p, n), region):
+            cls = classify_points(f, reg)
+            nu, sigma, singular = reference_classify(f, reg)
+            assert (cls.nu, cls.sigma) == (nu, sigma)
+            on_support = [tuple(point[i] for i in cls.support) for point in singular]
+            assert cls.singular == list(dict.fromkeys(on_support))
+            assert len(cls.singular) * cls.fibre == len(singular)
 
 
 def test_classify_budget():

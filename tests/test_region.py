@@ -14,7 +14,7 @@ from igusa_zeta import (
     parse,
 )
 
-from _util import brute_valuation_masses, int_valuation
+from _util import brute_valuation_masses, int_valuation, region_points
 
 Z5 = LocalRing(5)
 Z3 = LocalRing(3)
@@ -30,11 +30,11 @@ def test_measure():
 
 def test_region_points_and_contains():
     reg = ResidueRegion.product(3, [frozenset({1, 2}), frozenset({0})])
-    assert list(reg.points()) == [(1, 0), (2, 0)]
+    assert list(region_points(reg)) == [(1, 0), (2, 0)]
     member = lambda point: all(a in s for a, s in zip(point, reg.allowed))
     assert member((2, 0)) and not member((0, 0))
     unsorted = ResidueRegion.product(3, [[2, 0]])
-    assert list(unsorted.points()) == [(0,), (2,)]
+    assert list(region_points(unsorted)) == [(0,), (2,)]
 
 
 def test_polydisc_validation():
