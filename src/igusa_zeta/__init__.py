@@ -4,8 +4,8 @@ The package computes Z(f, s), the integral of |f|^s over the integer points
 of a local field, as an exact rational function of t = q^(-s), for
 polynomials with an isolated singularity at the origin whose lowest
 weighted-degree part is quasihomogeneous.  Both Q_p and F_p((pi)) are
-supported (prime residue field).  Results are cross-validated against
-exhaustive congruence counting through the Poincare series.
+supported (prime residue field).  The check command cross-validates a
+result against exhaustive congruence counting through the Poincare series.
 """
 
 from .coeff import Lifting, LocalRing, LocalRingElement
@@ -25,7 +25,7 @@ from .errors import (
 )
 from .poly import MultiPoly, ResiduePoly, parse, weighted_degree
 from .ratfun import DenomFactor, RatFun
-from .region import Polydisc, ResidueRegion, ValuationCell, cell_change_of_variables, complement_cells
+from .region import ResidueRegion, ValuationCell, cell_change_of_variables, complement_cells
 from .neron import DilatationNode, classify_points, dilate
 from .spf import SpfConfig, SpfTrace, series_check, spf_zeta
 from .sqh import (
@@ -64,7 +64,6 @@ __all__ = [
     "NonUnitContent",
     "NotSemiQuasiHomogeneous",
     "PoincareSeries",
-    "Polydisc",
     "PolynomialSyntaxError",
     "RatFun",
     "ResiduePoly",

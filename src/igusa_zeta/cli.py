@@ -223,9 +223,9 @@ def _closed_form_shape(f: MultiPoly):
         return None
     a, b = f.terms[e2], f.terms[e1]
     if a.valuation() == 0:
-        return n_x, m_y, a, b, False
+        return n_x, m_y, a, b
     if b.valuation() == 0:
-        return m_y, n_x, b, a, True
+        return m_y, n_x, b, a
     return None
 
 
@@ -243,8 +243,7 @@ def cmd_check(args) -> int:
     )
     shape = _closed_form_shape(f)
     if shape is not None:
-        n_x, m_y, a, b, _swapped = shape
-        closed = analysis.two_term_closed_form(ring, n_x, m_y, a, b)
+        closed = analysis.two_term_closed_form(ring, *shape)
         results.append(("engine == closed form", closed == Z))
     ok = all(flag for _, flag in results)
     for label, flag in results:

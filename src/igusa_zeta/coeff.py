@@ -130,12 +130,6 @@ class LocalRing:
             return LocalRingElement(self, (0,) * k + (1,))
         return LocalRingElement(self, self.p**k)
 
-    def from_digits(self, digits) -> "LocalRingElement":
-        """Characteristic-p element from pi-adic digits (c0, c1, ...)."""
-        if not self.positive_char:
-            raise ValueError("digit construction only in characteristic p")
-        return LocalRingElement(self, _trim(tuple(d % self.p for d in digits)))
-
 
 class LocalRingElement:
     """An element of O_K: an integer (char 0) or a polynomial in pi (char p)."""
@@ -161,13 +155,7 @@ class LocalRingElement:
             while digits[k] == 0:
                 k += 1
             return k
-        n, p, v = abs(self.payload), self.ring.p, 0
-        while n % p == 0:
-            n //= p
-            v += 1
-            if v == 8:
-                return v + _deep_valuation(n, p)
-        return v
+        return _deep_valuation(abs(self.payload), self.ring.p)
 
     def reduce(self) -> int:
         """Image in the residue field F_p, as an integer in [0, p)."""

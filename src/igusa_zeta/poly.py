@@ -7,6 +7,7 @@ The canonical term order is graded lexicographic, which fixes rendering.
 from __future__ import annotations
 
 import math
+import re
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .coeff import LocalRing, LocalRingElement
@@ -261,30 +262,6 @@ class ResiduePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def partial_derivative(self, var: int) -> "ResiduePoly":
-        acc: Dict[Exponents, int] = {}
-        for e, c in self.terms.items():
-            k = e[var]
-            d = c * k % self.p
-            if k == 0 or d == 0:
-                continue
-            exps = e[:var] + (k - 1,) + e[var + 1 :]
-            acc[exps] = (acc.get(exps, 0) + d) % self.p
-        return ResiduePoly(self.p, self.n, acc)
-
-    def __mul__(self, other: "ResiduePoly") -> "ResiduePoly":
-        if self.p != other.p or self.n != other.n:
-            raise ValueError("incompatible polynomials")
-        acc: Dict[Exponents, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = (acc.get(e, 0) + c1 * c2) % self.p
-        return ResiduePoly(self.p, self.n, acc)
-
-    def gradient(self):
-        return [self.partial_derivative(i) for i in range(self.n)]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ResiduePoly)
@@ -314,6 +291,11 @@ class ResiduePoly:
 # Whitespace is insignificant.
 
 _NAMED_VARS = {"x": 0, "y": 1, "z": 2, "w": 3}
+# Digits are ASCII only: str.isdigit also accepts superscripts and other scripts.
+_TOKEN = re.compile(
+    r"(?P<space>\s+)|(?P<nat>[0-9]+)|x(?P<index>[0-9]+)|(?P<name>[xyzw])|(?P<op>[-+*^u])|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 class _Token:
@@ -327,43 +309,21 @@ class _Token:
 
 def _tokenize(text: str):
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("nat", int(text[i:j]), i))
-            i = j
-            continue
-        if ch == "u":
-            tokens.append(_Token("u", None, i))
-            i += 1
-            continue
-        if ch == "x" and i + 1 < n and text[i + 1].isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            k = int(text[i + 1 : j])
-            if k == 0:
-                raise PolynomialSyntaxError("variable index must be >= 1", i)
-            tokens.append(_Token("var", k - 1, i))
-            i = j
-            continue
-        if ch in _NAMED_VARS:
-            tokens.append(_Token("var", _NAMED_VARS[ch], i))
-            i += 1
-            continue
-        if ch in "+-*^":
-            tokens.append(_Token(ch, None, i))
-            i += 1
-            continue
-        raise PolynomialSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", None, n))
+    for m in _TOKEN.finditer(text):
+        kind, value, pos = m.lastgroup, m[m.lastgroup], m.start()
+        if kind == "nat":
+            tokens.append(_Token("nat", int(value), pos))
+        elif kind == "index":
+            if int(value) == 0:
+                raise PolynomialSyntaxError("variable index must be >= 1", pos)
+            tokens.append(_Token("var", int(value) - 1, pos))
+        elif kind == "name":
+            tokens.append(_Token("var", _NAMED_VARS[value], pos))
+        elif kind == "op":
+            tokens.append(_Token(value, None, pos))
+        elif kind == "bad":
+            raise PolynomialSyntaxError(f"unexpected character {value!r}", pos)
+    tokens.append(_Token("end", None, len(text)))
     return tokens
 
 

@@ -127,23 +127,20 @@ class RatFun:
         if not num:
             den, factors = 1, []
         else:
-            factors.sort()
-            # Greedy cancellation in sorted factor order until nothing divides.
+            # Cancellation in one pass over the sorted factors: a quotient is
+            # divisible only by factors that divided the numerator before.
             # Dividing by (1 - p^(-a) t^b) is dividing by (p^a - t^b) and
             # multiplying by p^a; the p^a are collected in mult.
-            mult = 1
-            changed = True
-            while changed and factors:
-                changed = False
-                for i, f in enumerate(factors):
-                    pa = p**f.a
-                    quot = _divide_exact(num, f.b, 1, pa)
-                    if quot is not None:
-                        num = quot
-                        mult *= pa
-                        del factors[i]
-                        changed = True
-                        break
+            mult, kept = 1, []
+            for f in sorted(factors):
+                pa = p**f.a
+                quot = _divide_exact(num, f.b, 1, pa)
+                if quot is None:
+                    kept.append(f)
+                else:
+                    num = quot
+                    mult *= pa
+            factors = kept
             if mult != 1:
                 num = [mult * c for c in num]
             # Leading coefficient first: in a sum over a common denominator it
@@ -233,11 +230,6 @@ class RatFun:
         """Multiply by the closed geometric-series factor 1/(1 - q^(-a) t^b)."""
         return RatFun.from_integers(self.p, self._num, self._den, self.denom + (DenomFactor(a, b),))
 
-    def times_factor(self, a: int, b: int) -> "RatFun":
-        """Multiply by (1 - q^(-a) t^b)."""
-        num, den = _times_factors(self._num, self._den, self.p, (DenomFactor(a, b),))
-        return RatFun.from_integers(self.p, num, den, self.denom)
-
     # -- analysis --------------------------------------------------------------
 
     def series_expand(self, order: int) -> List[Fraction]:
@@ -256,15 +248,6 @@ class RatFun:
     def pole_real_parts(self) -> set:
         """Real parts of the poles in s: { -a/b } over the canonical denominator."""
         return {Fraction(-f.a, f.b) for f in self.denom}
-
-    def evaluate(self, t: Fraction) -> Fraction:
-        num = Fraction(sum(c * t**i for i, c in enumerate(self._num)), self._den)
-        den = Fraction(1)
-        for f in self.denom:
-            den *= 1 - Fraction(1, self.p**f.a) * t**f.b
-        if den == 0:
-            raise ZeroDivisionError("evaluation at a pole")
-        return num / den
 
     def divide_numerator_exactly(self, b: int, c) -> "RatFun":
         """Divide the numerator by (1 - c t^b); raises when not exact."""

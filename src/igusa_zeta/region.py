@@ -76,21 +76,6 @@ class ResidueRegion:
 
 
 @dataclass(frozen=True)
-class Polydisc:
-    """A_r = { x : v(x_i) >= r_i } with every r_i >= 1."""
-
-    r: Tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.r or any(v < 1 for v in self.r):
-            raise ValueError("polydisc radii must be >= 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.r)
-
-
-@dataclass(frozen=True)
 class ValuationCell:
     """{ x : v(x_j) >= m_j for every j, v(x_unit) = m_unit }.
 
@@ -105,9 +90,6 @@ class ValuationCell:
     def depth_shift(self) -> int:
         return sum(self.m)
 
-    def measure(self, p: int) -> Fraction:
-        return Fraction(p - 1, p ** (self.depth_shift() + 1))
-
     def unit_region(self, p: int) -> ResidueRegion:
         """The product region requiring a unit on the unit coordinate."""
         units, everything = range(1, p), range(p)
@@ -116,18 +98,17 @@ class ValuationCell:
         )
 
 
-def complement_cells(disc: Polydisc) -> List[ValuationCell]:
-    """The sum(r_i) disjoint cells that partition the complement of A_r.
+def complement_cells(r: Tuple[int, ...]) -> List[ValuationCell]:
+    """The sum(r_i) disjoint cells that partition the complement of A_r (every r_i >= 1).
 
     With the coordinates ordered by decreasing r_i (ties by index), a point
     outside A_r has a first coordinate i in that order with v(x_i) < r_i; it
     lies in the cell with unit i and m_i = v(x_i), m_j = r_j for the
     coordinates j before i and m_j = 0 after it, and in no other.
     """
-    r = disc.r
     cells: List[ValuationCell] = []
-    m = [0] * disc.n
-    for i in sorted(range(disc.n), key=lambda j: -r[j]):
+    m = [0] * len(r)
+    for i in sorted(range(len(r)), key=lambda j: -r[j]):
         for a in range(r[i]):
             m[i] = a
             cells.append(ValuationCell(tuple(m), i))

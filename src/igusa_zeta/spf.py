@@ -186,6 +186,7 @@ def _spf(
     """
     cfg = ctx.cfg
     p, n = f.ring.p, f.n
+    lifting = cfg.lifting
     top: List[DilatationNode] = []
     # (siblings, parent polynomial, region, depth, parent E_accum, S_accum, centre, scaling)
     stack = [(top, f, region, 0, 0, 0, None, None)]
@@ -206,7 +207,7 @@ def _spf(
         ctx.nodes += 1
         siblings.append(node)
         if cls.singular:
-            lifting = cfg.lifting if cfg.lifting is not None else Lifting(f.ring)
+            lifting = lifting or Lifting(f.ring)
             support = cls.support
             zero = f.ring.zero()
             # x_i = c_i + pi y_i on U maps the child region onto the singular

@@ -15,8 +15,9 @@ with C_k the complement integral of the k-th iterate and C_inf that of f.
 Stabilization is detected by value (two consecutive iterates equal to
 C_inf), within a bound k* read off the limit's cells by the reuse lemma
 below (see _reuse_index): from iterate k* on every cell is reused, so the
-test fires by iterate max(k* + 1, 2).  spf.series_check certifies the
-result independently.
+test fires by iterate max(k* + 1, 2).  Below k* the stop rests not on the
+lemma but on an observation, pinned in tests/test_sqh.py: iterates k0 to
+k* - 1 equal C_inf.  Only the check command certifies Z (spf.series_check).
 
 The complement of A_alpha is partitioned into |alpha| valuation cells (see
 region.complement_cells): with the coordinates ordered by decreasing
@@ -70,7 +71,7 @@ from .errors import (
 from .neron import DilatationNode
 from .poly import MultiPoly, weighted_degree
 from .ratfun import DenomFactor, RatFun
-from .region import Polydisc, ValuationCell, cell_change_of_variables, complement_cells
+from .region import ValuationCell, cell_change_of_variables, complement_cells
 from .spf import SpfConfig, SpfContext, Tally, spf_tally, tally_add, tally_ratfun, tally_shift
 
 
@@ -84,10 +85,7 @@ class WeightSystem:
     def __post_init__(self):
         if not self.alpha or any(a < 1 for a in self.alpha):
             raise ValueError("weights must be positive")
-        g = 0
-        for a in self.alpha:
-            g = gcd(g, a)
-        if g != 1:
+        if gcd(*self.alpha) != 1:
             raise ValueError("weights must be coprime")
         if self.d < 1:
             raise ValueError("weighted degree must be positive")
@@ -154,7 +152,7 @@ def detect_weights(F: MultiPoly, hint: Optional[WeightSystem] = None) -> SqhDeco
     box = max(F.total_degree(), 1)
     candidates = sorted(
         (alpha for alpha in itertools.product(range(1, box + 1), repeat=n)
-         if _gcd_all(alpha) == 1),
+         if gcd(*alpha) == 1),
         key=lambda a: (sum(a), a),
     )
     needed = frozenset(range(n))
@@ -170,13 +168,6 @@ def detect_weights(F: MultiPoly, hint: Optional[WeightSystem] = None) -> SqhDeco
     raise NotSemiQuasiHomogeneous(
         f"no admissible weight system with entries up to {box}"
     )
-
-
-def _gcd_all(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g
 
 
 def scale_step(F: MultiPoly, w: WeightSystem) -> MultiPoly:
@@ -316,7 +307,7 @@ def _cell_integrals(
     tail = F - limit.f if limit is not None else None
     zero = [F.ring.zero()] * F.n
     out: Dict[ValuationCell, CellIntegral] = {}
-    for cell in complement_cells(Polydisc(w.alpha)):
+    for cell in complement_cells(w.alpha):
         known = limit.cells.get(cell) if limit is not None else None
         if known is not None and (
             tail.is_zero()

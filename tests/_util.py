@@ -7,7 +7,7 @@ engine; tests compare package output against these direct enumerations.
 import itertools
 from fractions import Fraction
 
-from igusa_zeta import MultiPoly
+from igusa_zeta import LocalRingElement, MultiPoly, ResiduePoly
 
 
 def brute_counts_char0(f, j_max, member=None):
@@ -139,6 +139,38 @@ def evaluate_residue(fbar, point):
                 v = v * pow(x, k, fbar.p) % fbar.p
         total += v
     return total % fbar.p
+
+
+def residue_partial(fbar, var):
+    """The partial derivative of a ResiduePoly in coordinate var."""
+    acc = {}
+    for e, c in fbar.terms.items():
+        if e[var]:
+            exps = e[:var] + (e[var] - 1,) + e[var + 1 :]
+            acc[exps] = acc.get(exps, 0) + c * e[var]
+    return ResiduePoly(fbar.p, fbar.n, acc)
+
+
+def residue_gradient(fbar):
+    return [residue_partial(fbar, i) for i in range(fbar.n)]
+
+
+def residue_product(f, g):
+    """The product of two ResiduePolys over the same F_p."""
+    acc = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return ResiduePoly(f.p, f.n, acc)
+
+
+def from_digits(ring, digits):
+    """The characteristic-p element with pi-adic digits (c0, c1, ...)."""
+    digits = [d % ring.p for d in digits]
+    while digits and not digits[-1]:
+        digits.pop()
+    return LocalRingElement(ring, tuple(digits))
 
 
 def region_points(region):

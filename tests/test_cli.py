@@ -65,6 +65,24 @@ def test_compute_weight_hint(capsys):
     assert "alpha = (2, 1), d = 3" in out
 
 
+@pytest.mark.parametrize("text, weights, k0", [
+    ("x*y", [1, 1], 0),
+    ("x*y+z^2", [1, 1, 1], 0),
+    ("x^2+y*z", [1, 1, 1], 0),
+    ("x*y+z*w", [1, 1, 1, 1], 0),
+    ("x*y+x^3+y^3", [1, 1], 1),
+])
+def test_weights_off_compact_facets(capsys, text, weights, k0):
+    # the weight-d part is a vertex or an edge of the Newton polyhedron, not
+    # a compact facet with a positive normal; these are today's weights
+    code, out, _ = run(capsys, "compute", text, "--prime", "5", "--format", "json")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert (report["weights"], report["d"], report["k0"]) == (weights, 2, k0)
+    code, out, _ = run(capsys, "check", text, "--prime", "5", "--levels", "2")
+    assert code == 0 and "FAIL" not in out
+
+
 def test_consecutive_calls_share_no_options(capsys):
     # the parser is built once per process; a hint must not carry over
     code, out, _ = run(capsys, "compute", "x^2+y^3+x*y", "--prime", "5", "--weights", "2,1:3")
@@ -90,6 +108,13 @@ def test_compute_does_not_load_numpy():
 def test_exit_code_parse_error(capsys):
     code, _, err = run(capsys, "compute", "x^^2", "--prime", "5")
     assert code == 2 and "position" in err
+
+
+@pytest.mark.parametrize("text", ["x²+y³", "x^٢+y^3"], ids=["superscript", "arabic-indic"])
+def test_exit_code_non_ascii_digits(capsys, text):
+    code, out, err = run(capsys, "compute", text, "--prime", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: unexpected character") and "(at position " in err
 
 
 def test_exit_code_uniformizer_char0(capsys):

@@ -6,7 +6,7 @@ from igusa_zeta import LocalRing, MultiPoly, ResidueRegion, oracle_counts, parse
 from igusa_zeta.analysis import congruence_count
 from igusa_zeta.errors import BudgetExceeded
 
-from _util import brute_counts_char0, brute_counts_charp
+from _util import brute_counts_char0, brute_counts_charp, from_digits
 
 Z3 = LocalRing(3)
 Z5 = LocalRing(5)
@@ -146,7 +146,7 @@ def counting_cases(draw):
     for e in draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=5)):
         v = draw(st.integers(0, 2))  # coefficients of positive valuation
         if positive_char:
-            c = ring.from_digits(draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3)))
+            c = from_digits(ring, draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3)))
         else:
             c = ring.from_int(draw(st.integers(-7, 7)))
         terms[e] = c * ring.pi(v)

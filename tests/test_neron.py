@@ -14,7 +14,7 @@ from igusa_zeta import (
     parse,
 )
 
-from _util import evaluate_residue, int_poly, random_poly, region_points
+from _util import evaluate_residue, from_digits, int_poly, random_poly, region_points, residue_gradient
 
 Z5 = LocalRing(5)
 Z3 = LocalRing(3)
@@ -61,7 +61,7 @@ def expand_singular(cls, region):
 def reference_classify(f, region):
     """One evaluate_residue per point and partial, in the region's order."""
     fbar = f.reduce_mod_pi()
-    grad = fbar.gradient()
+    grad = residue_gradient(fbar)
     nonvanishing, smooth, singular = 0, 0, []
     for point in region_points(region):
         if evaluate_residue(fbar, point) != 0:
@@ -231,8 +231,8 @@ def test_dilate_identity_random():
                     ring,
                     2,
                     {
-                        (rng.randint(0, 2), rng.randint(0, 2)): ring.from_digits(
-                            [rng.randint(0, 4) for _ in range(2)]
+                        (rng.randint(0, 2), rng.randint(0, 2)): from_digits(
+                            ring, [rng.randint(0, 4) for _ in range(2)]
                         )
                         for _ in range(3)
                     },

@@ -24,7 +24,7 @@ from igusa_zeta import (
 )
 from igusa_zeta import sqh
 from igusa_zeta.poly import MultiPoly
-from igusa_zeta.region import Polydisc, cell_change_of_variables, complement_cells
+from igusa_zeta.region import cell_change_of_variables, complement_cells
 from igusa_zeta.spf import SpfContext, tally_ratfun
 
 from _util import evaluate_residue
@@ -140,9 +140,8 @@ def test_zeta_on_complement_denominator_shape():
 def test_complement_signed_cells_equal_direct_spf():
     # for r = (1,1) the complement is the preimage of F_p^2 minus the origin
     f = parse("x^2+y^3", Z5)
-    disc = Polydisc((1, 1))
     total = RatFun.zero(5)
-    for cell in complement_cells(disc):
+    for cell in complement_cells((1, 1)):
         e, d, fb, target = cell_change_of_variables(f, cell)
         value, _ = spf_zeta(fb, target)
         total = total + value.scale(Fraction(1, 5**d), e)
@@ -159,7 +158,7 @@ def reference_complement(F, w):
     """Every complement cell through the engine, no cell closed or reused."""
     p = F.ring.p
     total, roots = RatFun.zero(p), []
-    for cell in complement_cells(Polydisc(w.alpha)):
+    for cell in complement_cells(w.alpha):
         e, d, f_cell, target = cell_change_of_variables(F, cell)
         value, trace = spf_zeta(f_cell, target)
         total = total + value.scale(Fraction(1, p**d), e)
@@ -213,7 +212,7 @@ def test_iterate_complements_match_engine_on_every_cell(text, ring, monkeypatch)
     F = parse(text, ring)
     dec = detect_weights(F)
     w = dec.weights
-    cells = len(complement_cells(Polydisc(w.alpha)))
+    cells = len(complement_cells(w.alpha))
     calls = EngineCalls(monkeypatch)
     limit = limit_cells(dec.quasi, w)
     current = F
@@ -301,6 +300,25 @@ def test_reuse_index_against_k0(a, k_star, k0):
     assert zeta_semiquasihomogeneous(F)[1].k0 == k0
 
 
+def test_early_stop_below_reuse_index():
+    # zeta_semiquasihomogeneous stops after two consecutive iterates equal C_inf, at
+    # k0 = 1 with k* = 5: the lemma does not cover iterates 3 and 4, which
+    # are assumed equal to C_inf.  Compute every iterate below k* fresh.
+    F = parse("x^3+y^5+x^2*y^2", Z5)
+    dec = detect_weights(F)
+    w = dec.weights
+    assert (w.alpha, w.d) == ((5, 3), 15)
+    limit = limit_cells(dec.quasi, w)
+    k_star = sqh._reuse_index(dec.tail, w, limit)
+    assert k_star == 5
+    assert zeta_semiquasihomogeneous(F)[1].k0 == 1
+    c_inf = zeta_on_complement(dec.quasi, w)
+    current = F
+    for _ in range(1, k_star):
+        current = scale_step(current, w)
+        assert zeta_on_complement(current, w) == c_inf
+
+
 @pytest.mark.parametrize("text, ring", [
     ("x^2+y^2+z^4+z^5", Z5),
     ("x^3+y^5+x^2*y^2+y^6", Z5),
@@ -323,7 +341,7 @@ def test_closed_cells_have_the_engine_root(monkeypatch):
     calls = EngineCalls(monkeypatch)
     limit = limit_cells(f, w)
     assert 0 < calls.count < len(limit.cells)
-    for cell in complement_cells(Polydisc(w.alpha)):
+    for cell in complement_cells(w.alpha):
         e, d, f_cell, target = cell_change_of_variables(f, cell)
         value, trace = spf_zeta(f_cell, target)
         integral = limit.cells[cell]
