@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 from .coeff import LocalRing, LocalRingElement
 from .errors import (
@@ -58,12 +58,6 @@ class MultiPoly:
     def zero(cls, ring: LocalRing, n: int) -> "MultiPoly":
         return cls(ring, n, {})
 
-    @classmethod
-    def constant(cls, ring: LocalRing, n: int, c: Union[int, LocalRingElement]) -> "MultiPoly":
-        if isinstance(c, int):
-            c = ring.from_int(c)
-        return cls(ring, n, {(0,) * n: c})
-
     # -- structure -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -108,23 +102,6 @@ class MultiPoly:
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
-
-    def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, LocalRingElement)):
-            c = self.ring.from_int(other) if isinstance(other, int) else other
-            return MultiPoly(self.ring, self.n, {e: v * c for e, v in self.terms.items()})
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        if self.ring != other.ring or self.n != other.n:
-            raise ValueError("incompatible polynomials")
-        acc: Dict[Exponents, LocalRingElement] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                self._merge(acc, exps, c1 * c2)
-        return MultiPoly(self.ring, self.n, acc)
-
-    __rmul__ = __mul__
 
     # -- ring-specific operations ---------------------------------------------
 

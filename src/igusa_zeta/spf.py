@@ -83,27 +83,19 @@ class SpfTrace:
 
 
 class SpfContext:
-    """Per-computation state: the config, statistics and collected trees."""
+    """Per-computation state: the config and the collected trees, one per engine call."""
 
     def __init__(self, cfg: Optional[SpfConfig] = None):
         self.cfg = cfg if cfg is not None else SpfConfig()
-        self.nodes = 0
-        self.max_depth_seen = 0
-        self.calls = 0
         self.roots: List[DilatationNode] = []
 
-    def add_tree(self, root: DilatationNode, nodes: int, depth: int):
-        """Count a tree that was not built by a fresh descent as one engine call."""
-        self.calls += 1
-        self.nodes += nodes
-        self.max_depth_seen = max(self.max_depth_seen, depth)
-        self.roots.append(root)
-
     def stats_dict(self) -> dict:
+        """Engine calls, nodes and the largest node depth, read off the collected trees."""
+        nodes = [node for root in self.roots for node in root.walk()]
         return {
-            "spf_calls": self.calls,
-            "nodes": self.nodes,
-            "max_depth": self.max_depth_seen,
+            "spf_calls": len(self.roots),
+            "nodes": len(nodes),
+            "max_depth": max((node.depth for node in nodes), default=0),
             # always 0 (there is no node cache); zetabench/tracer.py reads the key
             "cache_hits": 0,
         }
@@ -162,7 +154,6 @@ def spf_tally(
 
     spf_zeta without building the RatFun, for callers that add tallies.
     """
-    ctx.calls += 1
     if f.is_zero():
         raise ZeroPolynomial("zeta integral of the zero polynomial diverges")
     e0 = f.content_valuation()
@@ -196,7 +187,6 @@ def _spf(
         e_accum += e
         if depth > cfg.max_depth:
             raise DepthExceeded(f"dilatation depth exceeded {cfg.max_depth}")
-        ctx.max_depth_seen = max(ctx.max_depth_seen, depth)
         cls = classify_points(f, region, cfg.budget)
         if cls.nonzero or cls.smooth:
             tally_add(tally, (e_accum, n + s_accum), cls.nonzero, cls.smooth)
@@ -204,7 +194,6 @@ def _spf(
             center, m, e, e_accum, s_accum, depth, cls.nu, cls.sigma,
             len(cls.singular) * cls.fibre, region.describe(),
         )
-        ctx.nodes += 1
         siblings.append(node)
         if cls.singular:
             lifting = lifting or Lifting(f.ring)

@@ -12,12 +12,12 @@ tail closes the sum:
     Z(F) = sum_{k < k0} u^k C_k  +  u^k0 C_inf / (1 - u),      u = q^(-|alpha|) t^d,
 
 with C_k the complement integral of the k-th iterate and C_inf that of f.
-Stabilization is detected by value (two consecutive iterates equal to
-C_inf), within a bound k* read off the limit's cells by the reuse lemma
-below (see _reuse_index): from iterate k* on every cell is reused, so the
-test fires by iterate max(k* + 1, 2).  Below k* the stop rests not on the
-lemma but on an observation, pinned in tests/test_sqh.py: iterates k0 to
-k* - 1 equal C_inf.  Only the check command certifies Z (spf.series_check).
+The sum is exact when every iterate from k0 on equals C_inf.  The reuse
+lemma below proves C_k = C_inf for every k >= k*, with k* read off the
+limit's cells (see _reuse_index): from iterate k* on every cell is reused.
+So the iterates stop at k*: those with k < max(k*, 1) are computed, and k0
+is the least k >= 1 from which the computed ones equal C_inf.  Only the
+check command certifies Z (spf.series_check).
 
 The complement of A_alpha is partitioned into |alpha| valuation cells (see
 region.complement_cells): with the coordinates ordered by decreasing
@@ -50,8 +50,8 @@ so the statistics and the --trace export do not depend on the shortcuts.
 
 Cell values are kept as the engine's integer tallies (see the spf module),
 shifted per cell; a complement integral adds its cells' tallies and builds
-one RatFun.  The iterate sum, the stabilization test and the geometric
-close stay in RatFun arithmetic.
+one RatFun.  The iterate sum, the comparison of the last iterates with
+C_inf and the geometric close stay in RatFun arithmetic.
 """
 
 from __future__ import annotations
@@ -188,23 +188,18 @@ class CellIntegral:
     the content of F(pi^m y), d = sum m and V the integral over the cell's
     residue region: the engine's tally of V with every key (E, k) moved to
     (E + e, k + d).
-    nodes and depth describe the dilatation tree under root, whose stored
-    centres, scalings and contents the iterates replay their tails against,
-    and e_max is the largest E_accum in it.
+    root is the cell's dilatation tree, whose stored centres, scalings and
+    contents the iterates replay their tails against, and e_max is the
+    largest E_accum in it.
     """
 
     value: Tally
     e: int
     root: DilatationNode
-    nodes: int = field(init=False)
-    depth: int = field(init=False)
     e_max: int = field(init=False)
 
     def __post_init__(self):
-        tree = list(self.root.walk())
-        self.nodes = len(tree)
-        self.depth = max(node.depth for node in tree)
-        self.e_max = max(node.E_accum for node in tree)
+        self.e_max = max(node.E_accum for node in self.root.walk())
 
 
 @dataclass
@@ -242,7 +237,7 @@ def _cell_integral(F: MultiPoly, terms, cell: ValuationCell, ctx: SpfContext) ->
         root = DilatationNode(
             None, None, 0, 0, 0, 0, region.measure(), Fraction(0), 0, region.describe()
         )
-        ctx.add_tree(root, 1, 0)
+        ctx.roots.append(root)
         tally, e = {(0, F.n): (region.card(), 0)}, low
     else:
         e, _, f_cell, target = cell_change_of_variables(F, cell)
@@ -276,17 +271,18 @@ def _reuse_index(tail: MultiPoly, w: WeightSystem, limit: LimitCells) -> int:
     """k*: an iterate from which on every limit cell is reused.
 
     After k scaling steps the tail is sum_a c_a pi^(k (w(a) - d)) x^a over
-    its exponent vectors a, so on a cell with scaling m its content is
-    min_a v(c_a) + k (w(a) - d) + <m, a> (the monomials stay distinct).  Substitutions never lower content, so
-    the replay passes every node once that content exceeds the cell's e plus
-    the largest E_accum in its tree; k* is the least k >= 0 at which this
-    holds on every cell.
+    its exponent vectors a, so on a cell its content is
+    min_a level_a + k (w(a) - d), with level_a = v(c_a) + <m, a> from
+    _levels (the monomials stay distinct).  Substitutions never lower
+    content, so the replay passes every node once that content exceeds the
+    cell's e plus the largest E_accum in its tree; k* is the least k >= 0 at
+    which this holds on every cell.
     """
     k_star = 0
     terms = _valued_terms(tail)
     for cell, known in limit.cells.items():
-        for exps, v in terms:
-            need = known.e + known.e_max + 1 - v - sum(a * k for a, k in zip(cell.m, exps))
+        for level, exps in _levels(terms, cell):
+            need = known.e + known.e_max + 1 - level
             k_star = max(k_star, -(-need // (weighted_degree(exps, w.alpha) - w.d)))
     return k_star
 
@@ -313,7 +309,7 @@ def _cell_integrals(
             tail.is_zero()
             or _tail_stays_above(tail.substitute_affine(zero, cell.m), known.e, known.root)
         ):
-            ctx.add_tree(known.root, known.nodes, known.depth)
+            ctx.roots.append(known.root)
             out[cell] = known
         else:
             out[cell] = _cell_integral(F, terms, cell, ctx)
@@ -352,8 +348,8 @@ def zeta_on_complement(
     recursively, unless it closes from the exponents (one lowest monomial in
     the unit coordinate alone) or, with ``limit``,
     reuses the limit's integral by the reuse lemma of the module docs.
-    Closed and reused cells count in ctx's statistics and trees as engine
-    calls, with the trees the engine would build.  The result of each cell
+    Closed and reused cells join ctx's trees, and so its statistics, as
+    engine calls, with the trees the engine would build.  The result of each cell
     has a single geometric denominator, so after cancellation the sum's
     denominator divides (1 - q^(-1) t); that is asserted.
     """
@@ -402,9 +398,11 @@ def zeta_semiquasihomogeneous(
     real parts, tree statistics).  The caller asserts that the origin is the
     only singularity over the algebraic closure; a violated assertion
     surfaces as DepthExceeded (exit code 4 in the CLI), never as a wrong
-    value that the cap silently accepts.  The iterates need no cap: the
-    stabilization test fires by iterate max(k* + 1, 2), k* from
-    _reuse_index, and not firing there is a bug (InvariantViolation).
+    value that the cap silently accepts.  The iterates need no cap and no
+    test of their values: the reuse lemma proves C_k = C_inf for k >= k*
+    (see _reuse_index), so the iterates k < max(k*, 1) are computed and the
+    sum closes after them.  k0 drops the trailing computed iterates equal to
+    C_inf, down to 1 while F has a tail.
     """
     if F.is_zero():
         raise ZeroPolynomial("zeta integral of the zero polynomial diverges")
@@ -426,22 +424,16 @@ def zeta_semiquasihomogeneous(
         iterates: List[RatFun] = [zeta_on_complement(F, w, ctx, limit)]
         current = F
         tail_level = dec.tail.content_valuation()
-        k0 = None
-        # from iterate k* on every cell is reused, so the test below fires by this k
-        last = max(_reuse_index(dec.tail, w, limit) + 1, 2)
-        for k in range(1, last + 1):
+        for _ in range(1, max(_reuse_index(dec.tail, w, limit), 1)):
             current = scale_step(current, w)
-            tail_k = current - dec.quasi
-            level = tail_k.content_valuation()
+            level = (current - dec.quasi).content_valuation()
             if level <= tail_level:
                 raise InvariantViolation("tail valuation failed to increase")
             tail_level = level
             iterates.append(zeta_on_complement(current, w, ctx, limit))
-            if k >= 2 and iterates[k - 1] == c_limit and iterates[k] == c_limit:
-                k0 = k - 1
-                break
-        if k0 is None:
-            raise InvariantViolation(f"no two consecutive iterates equal the limit by iterate {last}")
+        k0 = len(iterates)
+        while k0 > 1 and iterates[k0 - 1] == c_limit:
+            k0 -= 1
         value = RatFun.zero(p)
         for k in range(k0):
             value = value + iterates[k].scale(u_scale**k, w.d * k)

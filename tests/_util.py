@@ -155,6 +155,21 @@ def residue_gradient(fbar):
     return [residue_partial(fbar, i) for i in range(fbar.n)]
 
 
+def poly_product(f, g):
+    """The product of two MultiPolys over the same ring."""
+    acc = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
+    return MultiPoly(f.ring, f.n, acc)
+
+
+def poly_times_pi(f, k):
+    """pi^k times a MultiPoly, coefficient by coefficient."""
+    return MultiPoly(f.ring, f.n, {e: c.times_pi(k) for e, c in f.terms.items()})
+
+
 def residue_product(f, g):
     """The product of two ResiduePolys over the same F_p."""
     acc = {}

@@ -7,7 +7,6 @@ from igusa_zeta import (
     InvalidParameters,
     InvariantViolation,
     LocalRing,
-    MultiPoly,
     RatFun,
     WeightSystem,
     two_term_closed_form,
@@ -40,7 +39,7 @@ def test_oracle_counts_line():
 
 
 def test_oracle_counts_unit_constant():
-    assert oracle_counts(MultiPoly.constant(Z5, 1, 2), 3) == [1, 0, 0, 0]
+    assert oracle_counts(parse("2", Z5, n_hint=1), 3) == [1, 0, 0, 0]
 
 
 def test_oracle_counts_charp_matches_reference():

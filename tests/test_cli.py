@@ -159,12 +159,19 @@ def test_deep_two_term_curves_pass_check_at_the_default_depth(capsys, poly, prim
 
 def test_stabilization_past_32_iterates(capsys):
     # the tail 3^70 y^3 needs 36 scaling steps before the complements
-    # settle; the digest is the JSON of the former 64-iterate cap
+    # settle, and the reuse lemma covers the iterates from k* = 69 on: the
+    # limit and 69 iterates, 5 cells each
     poly = f"x^2+{3**70}*y^3+x*y^2"
     code, out, _ = run(capsys, "compute", poly, "--prime", "3", "--format", "json")
-    assert code == 0 and json.loads(out)["report"]["k0"] == 36
-    digest = "416231776ef6096a86885e974416530eb1c7953bf1491bcec7b31c91a5b58c47"
+    doc = json.loads(out)
+    assert code == 0 and doc["report"]["k0"] == 36
+    assert doc["report"]["tree_stats"]["spf_calls"] == 350
+    digest = "cb4c2e4d5425fdedcadeb28862b1b77af1422a3be4e197bf5a29526f668b7321"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # every field but tree_stats is the one the 64-iterate cap gave
+    del doc["report"]["tree_stats"]
+    digest = "a355b37048c7d847f5c8967b636583f5d48ed27973c965de0d177e0d2341c41a"
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
     code, out, _ = run(capsys, "check", poly, "--prime", "3", "--levels", "6")
     assert code == 0
     assert out.splitlines()[:2] == [

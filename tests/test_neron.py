@@ -14,7 +14,10 @@ from igusa_zeta import (
     parse,
 )
 
-from _util import evaluate_residue, from_digits, int_poly, random_poly, region_points, residue_gradient
+from _util import (
+    evaluate_residue, from_digits, int_poly, poly_times_pi, random_poly, region_points,
+    residue_gradient,
+)
 
 Z5 = LocalRing(5)
 Z3 = LocalRing(3)
@@ -41,7 +44,7 @@ def test_classify_line():
 
 def test_classify_unit_constant():
     region = ResidueRegion.product(5, [frozenset({1, 2, 3}), frozenset(range(5))])
-    cls = classify_points(MultiPoly.constant(Z5, 2, 1), region)
+    cls = classify_points(parse("1", Z5, n_hint=2), region)
     assert cls.nu == region.measure()
     assert cls.sigma == 0 and cls.singular == []
 
@@ -246,4 +249,4 @@ def test_dilate_identity_random():
             m = (rng.randint(0, 2), rng.randint(0, 2))
             fp, e = dilate(f, point, m)
             assert fp.content_valuation() == 0
-            assert fp * ring.pi(e) == f.substitute_affine(point, m)
+            assert poly_times_pi(fp, e) == f.substitute_affine(point, m)

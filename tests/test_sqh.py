@@ -223,8 +223,9 @@ def test_iterate_complements_match_engine_on_every_cell(text, ring, monkeypatch)
         ctx = SpfContext(SpfConfig())
         assert zeta_on_complement(current, w, ctx=ctx, limit=limit) == expected
         assert [r.to_json() for r in ctx.roots] == [r.to_json() for r in roots]
-        assert ctx.calls == cells
-        assert ctx.nodes == sum(len(list(r.walk())) for r in roots)
+        stats = ctx.stats_dict()
+        assert stats["spf_calls"] == cells
+        assert stats["nodes"] == sum(len(list(r.walk())) for r in roots)
         seen.append(calls.count)
         current = scale_step(current, w)
     assert seen == FRESH_CALLS[text, ring]
@@ -272,8 +273,7 @@ def test_tail_replay_deeper_than_recursion_limit():
 
 @pytest.mark.parametrize("text, ring", list(FRESH_CALLS))
 def test_reuse_index_bounds_the_iterates(text, ring, monkeypatch):
-    # iterate k* reuses every limit cell, so the driver's stabilization test
-    # fires by iterate max(k* + 1, 2)
+    # iterate k* reuses every limit cell, so the driver's iterates stop there
     F = parse(text, ring)
     dec = detect_weights(F)
     w = dec.weights
@@ -287,7 +287,7 @@ def test_reuse_index_bounds_the_iterates(text, ring, monkeypatch):
     assert all(cells[cell] is known for cell, known in limit.cells.items())
     assert calls.count == 0
     _, report = zeta_semiquasihomogeneous(F)
-    assert report.k0 + 1 <= max(k_star + 1, 2)
+    assert report.k0 <= max(k_star, 1)
 
 
 @pytest.mark.parametrize("a, k_star, k0", [(20, 6, 4), (100, 33, 17)])
@@ -301,9 +301,10 @@ def test_reuse_index_against_k0(a, k_star, k0):
 
 
 def test_early_stop_below_reuse_index():
-    # zeta_semiquasihomogeneous stops after two consecutive iterates equal C_inf, at
-    # k0 = 1 with k* = 5: the lemma does not cover iterates 3 and 4, which
-    # are assumed equal to C_inf.  Compute every iterate below k* fresh.
+    # k* = 5 and k0 = 1: the driver runs the limit and the iterates 0..4 over
+    # the 8 cells each, and closes the sum at k*, where the reuse lemma takes
+    # over.  Computed fresh, without the limit's trees, iterates 1..4 equal
+    # C_inf and the sum is Z.
     F = parse("x^3+y^5+x^2*y^2", Z5)
     dec = detect_weights(F)
     w = dec.weights
@@ -311,12 +312,28 @@ def test_early_stop_below_reuse_index():
     limit = limit_cells(dec.quasi, w)
     k_star = sqh._reuse_index(dec.tail, w, limit)
     assert k_star == 5
-    assert zeta_semiquasihomogeneous(F)[1].k0 == 1
+    value, report = zeta_semiquasihomogeneous(F)
+    assert report.k0 == 1
+    assert report.tree_stats["spf_calls"] == 8 * (1 + k_star)
     c_inf = zeta_on_complement(dec.quasi, w)
+    u = Fraction(1, 5**w.total)
+    expected = zeta_on_complement(F, w)
     current = F
-    for _ in range(1, k_star):
+    for k in range(1, k_star):
         current = scale_step(current, w)
-        assert zeta_on_complement(current, w) == c_inf
+        c_k = zeta_on_complement(current, w)
+        assert c_k == c_inf
+        expected = expected + c_k.scale(u**k, w.d * k)
+    assert value == expected + c_inf.scale(u**k_star, w.d * k_star).geometric_close(w.total, w.d)
+
+
+def test_k0_is_at_least_one_with_a_tail():
+    # C_0 = C_inf here, and so is every computed iterate; k0 stays 1 while F
+    # has a tail
+    F = parse("x^3+y^5+x^2*y^2+x*y^4", Z5)
+    dec = detect_weights(F)
+    assert zeta_on_complement(F, dec.weights) == zeta_on_complement(dec.quasi, dec.weights)
+    assert zeta_semiquasihomogeneous(F)[1].k0 == 1
 
 
 @pytest.mark.parametrize("text, ring", [
