@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .coeff import DEFAULT_BUDGET, LocalRing, LocalRingElement
 from .errors import InvalidParameters, InvariantViolation
 from .poly import MultiPoly
-from .ratfun import RatFun
+from .ratfun import DenomFactor, RatFun
 from .region import ResidueRegion
 
 
@@ -99,8 +99,8 @@ def poincare_from_zeta(Z: RatFun, n: int) -> PoincareSeries:
 # -- closed form for a*x^n + b*y^m ---------------------------------------------
 
 
-def _unit_square_nu_sigma(p: int, n: int, m: int, a_bar: int, mu_bar: int):
-    """nu and sigma of a*x^n + mu*y^m over the unit square (F_p^*)^2."""
+def _unit_square_counts(p: int, n: int, m: int, a_bar: int, mu_bar: int):
+    """Points of (F_p^*)^2 where a*x^n + mu*y^m does not vanish, and where it is a smooth zero."""
     nonvanishing = 0
     smooth = 0
     for x in range(1, p):
@@ -115,7 +115,7 @@ def _unit_square_nu_sigma(p: int, n: int, m: int, a_bar: int, mu_bar: int):
                 raise InvalidParameters(
                     "reduction is singular on the unit square; hypotheses violated"
                 )
-    return Fraction(nonvanishing, p * p), Fraction(smooth, p * p)
+    return nonvanishing, smooth
 
 
 def two_term_closed_form(
@@ -127,7 +127,10 @@ def two_term_closed_form(
     characteristic not dividing both n and m (automatic from coprimality).
     The domain splits by (v(x), v(y)) into slabs where one term dominates,
     plus a balanced diagonal handled through one classification of the unit
-    square.  This path shares nothing with the recursive engine and serves
+    square.  Every slab contributes c p^(-k) t^E, or a balanced one
+    p^(-k) t^E times the unit square's integral; the terms are summed as
+    one integer numerator over p^K and (1 - q^(-1) t), and one RatFun is
+    built.  This path shares nothing with the recursive engine and serves
     as its oracle.
     """
     p = ring.p
@@ -146,46 +149,48 @@ def two_term_closed_form(
 
     v_beta = int(beta.valuation())
     mu = beta.divide_by_uniformizer(v_beta)
-    nu_u, sigma_u = _unit_square_nu_sigma(p, n, m, alpha.reduce(), mu.reduce())
-    # one application of the stationary phase formula on the unit square
-    unit_int = RatFun.const(p, nu_u) + RatFun(p, (0, sigma_u * (1 - Fraction(1, p))), ((1, 1),))
+    g, r = divmod(v_beta, n)
+    shift = m + g + r
+    top = shift + n  # every slab's p^(-k) has k <= top
+    monomials: Dict[int, int] = {}  # t^E -> p^top times the sum of the c p^(-k)
+    balanced: Dict[int, int] = {}  # t^E -> p^top times the sum of the p^(-k)
 
-    unit_frac = 1 - Fraction(1, p)
-    total = RatFun.zero(p)
-
-    def L(i: int, jj: int) -> int:
-        return jj * m - i * n + v_beta
+    def add(terms: Dict[int, int], e: int, c: int, k: int):
+        terms[e] = terms.get(e, 0) + c * p ** (top - k)
 
     def add_slab(i_range):
-        nonlocal total
         for i in i_range:
             for jj in range(n):
-                weight = Fraction(1, p ** (i + jj))
-                val = L(i, jj)
+                val = jj * m - i * n + v_beta
                 if val > 0:
-                    total = total + RatFun.monomial(p, unit_frac**2 * weight, n * i)
+                    add(monomials, n * i, (p - 1) ** 2, i + jj + 2)
                 elif val < 0:
-                    total = total + RatFun.monomial(p, unit_frac**2 * weight, v_beta + m * jj)
+                    add(monomials, v_beta + m * jj, (p - 1) ** 2, i + jj + 2)
                 else:
-                    total = total + unit_int.scale(weight, n * i)
+                    add(balanced, n * i, 1, i + jj)
 
     # x-term dominates: v(x) < m, v(y) >= n
     for k in range(m):
-        total = total + RatFun.monomial(p, unit_frac * Fraction(1, p ** (n + k)), k * n)
-
+        add(monomials, k * n, p - 1, n + k + 1)
     # both coordinates small: v(x) < m, v(y) < n, split by the dominance sign
     add_slab(range(m))
-
     # y-term dominates: v(x) >= m + [v(beta)/n] + r, v(y) < n
-    g, r = divmod(v_beta, n)
-    shift = m + g + r
     for k in range(n):
-        total = total + RatFun.monomial(
-            p, unit_frac * Fraction(1, p ** (shift + k)), v_beta + m * k
-        )
-
+        add(monomials, v_beta + m * k, p - 1, shift + k + 1)
     # intermediate slab m <= v(x) < m + [v(beta)/n] + r, again split by sign
     add_slab(range(m, shift))
 
+    # over p^3 (1 - q^(-1) t): a monomial c t^E is c (p^3 - p^2 t) t^E, and
+    # the unit square's integral a/p^2 + (b/p^2)(1 - q^(-1)) t / (1 - q^(-1) t)
+    # is (a p + (b (p - 1) - a) t) for its a nonvanishing and b smooth points
+    a, b = _unit_square_counts(p, n, m, alpha.reduce(), mu.reduce())
+    num = [0] * (max(monomials.keys() | balanced.keys()) + 2)
+    for e, c in monomials.items():
+        num[e] += c * p**3
+        num[e + 1] -= c * p**2
+    for e, c in balanced.items():
+        num[e] += c * a * p
+        num[e + 1] += c * (b * (p - 1) - a)
+    total = RatFun.from_integers(p, num, p ** (top + 3), (DenomFactor(1, 1),))
     # close the self-similarity of the polydisc v(x) >= m, v(y) >= n
     return total.geometric_close(n + m, n * m)

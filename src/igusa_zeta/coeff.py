@@ -73,6 +73,8 @@ def _deep_valuation(n: int, p: int) -> int:
 
     Strips p, p^2, p^4, ... while they divide, then halves back down.
     """
+    if n % p:
+        return 0
     q, e, v, powers = p, 1, 0, []
     while n % q == 0:
         n //= q

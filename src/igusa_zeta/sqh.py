@@ -13,11 +13,12 @@ tail closes the sum:
 
 with C_k the complement integral of the k-th iterate and C_inf that of f.
 The sum is exact when every iterate from k0 on equals C_inf.  The reuse
-lemma below proves C_k = C_inf for every k >= k*, with k* read off the
-limit's cells (see _reuse_index): from iterate k* on every cell is reused.
-So the iterates stop at k*: those with k < max(k*, 1) are computed, and k0
-is the least k >= 1 from which the computed ones equal C_inf.  Only the
-check command certifies Z (spf.series_check).
+lemma below gives each limit cell one index reuse_from, read off its stored
+tree, such that iterate k reuses the cell iff k >= reuse_from; so
+C_k = C_inf for every k >= k* = max reuse_from.  The iterates stop there:
+those with k < max(k*, 1) are computed, and k0 is the least k >= 1 from
+which the computed ones equal C_inf.  Only the check command certifies Z
+(spf.series_check).
 
 The complement of A_alpha is partitioned into |alpha| valuation cells (see
 region.complement_cells): with the coordinates ordered by decreasing
@@ -30,15 +31,15 @@ descent:
 
 * Reuse.  The limit f is evaluated first, keeping per cell its content e
   (the pi-order of f(pi^m y)) and its dilatation tree.  Let T = F - f be
-  the tail.  The tail is replayed down the limit cell's tree: at the root
-  T(pi^m y) must have content above e, and tau = pi^(-e) T(pi^m y); at each
-  child (centre c, scaling m_c, content e_c, read from the stored node)
-  tau(c + pi^(m_c) x) must have content above e_c, and the child's tau is
-  pi^(-e_c) tau(c + pi^(m_c) x).  Where every node passes, F's polynomial
-  at each node is f's plus a multiple of pi (by induction down the tree),
-  so every reduction, classification, singular centre and extracted
-  content, hence the whole tree and value, are f's.  The cell's record is
-  reused unchanged.
+  the tail, and let x_i -> C_i + pi^(M_i) x_i be the cell's and the nodes'
+  substitutions composed along the path to a node.  If T(C + pi^M x) has
+  content above e + E_accum(node) at every node, F's polynomial at each
+  node is f's plus a multiple of pi (by induction down the tree), so every
+  reduction, classification, singular centre and extracted content, hence
+  the whole tree and value, are f's, and the cell's record is reused
+  unchanged.  By Gauss's lemma each tail monomial's content there is read
+  off v(C_i) and M_i, and it grows by w(a) - d per scaling step, which
+  gives reuse_from (see _reuse_from).  No polynomial is substituted.
 * Closing.  If one monomial alone has the least level and uses only the
   cell's unit coordinate x_i, |F|^s is t^low on the whole cell, which
   closes as q^(-sum m) t^low times the cell region's measure, before any
@@ -60,6 +61,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import add, mul
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (
@@ -189,25 +191,24 @@ class CellIntegral:
     residue region: the engine's tally of V with every key (E, k) moved to
     (E + e, k + d).
     root is the cell's dilatation tree, whose stored centres, scalings and
-    contents the iterates replay their tails against, and e_max is the
-    largest E_accum in it.
+    contents bound the iterates' tails (see _reuse_from).
     """
 
     value: Tally
     e: int
     root: DilatationNode
-    e_max: int = field(init=False)
-
-    def __post_init__(self):
-        self.e_max = max(node.E_accum for node in self.root.walk())
 
 
 @dataclass
 class LimitCells:
-    """The limit f and its integral over every complement cell of A_alpha."""
+    """The limit f over every complement cell of A_alpha, and where the iterates reuse it.
 
-    f: MultiPoly
+    The k-th iterate of the decomposed polynomial f + tail reuses
+    cells[cell] iff k >= reuse_from[cell].
+    """
+
     cells: Dict[ValuationCell, CellIntegral]
+    reuse_from: Dict[ValuationCell, int]
 
 
 def _valued_terms(F: MultiPoly) -> List[Tuple[Tuple[int, ...], int]]:
@@ -245,45 +246,35 @@ def _cell_integral(F: MultiPoly, terms, cell: ValuationCell, ctx: SpfContext) ->
     return CellIntegral(tally_shift(tally, e, cell.depth_shift()), e, root)
 
 
-def _tail_stays_above(shifted: MultiPoly, e: int, node: DilatationNode) -> bool:
-    """Whether the tail, moved onto node as shifted, keeps f's tree under node.
+def _reuse_from(tail: MultiPoly, w: WeightSystem, cell: ValuationCell, known: CellIntegral) -> int:
+    """The least k >= 0 from which the k-th iterate reuses the limit's integral over the cell.
 
-    shifted is the tail after the node's substitution and before its
-    content e is taken out; see the reuse replay of the module docs.  The
-    subtree is walked in pre-order on an explicit stack, each child's tail
-    substituted when it is popped, and the walk stops at the first failing
-    node.
+    Along the path to a node of the cell's tree the substitutions compose to
+    x_i -> C_i + pi^(M_i) x_i: C = 0 and M = m at the root, and each node
+    with centre c and scaling m' adds pi^(M_i) c_i to C_i and m'_i to M_i.
+    After k scaling steps a tail monomial c_a x^a is c_a pi^(k (w(a) - d)) x^a,
+    so by Gauss's lemma its content at the node is
+    v(c_a) + sum_i a_i min(v(C_i), M_i) + k (w(a) - d).  The reuse lemma of
+    the module docs holds at the node once every monomial's content exceeds
+    e + E_accum(node), and then at every later k too.  The tree is walked
+    on an explicit stack; a zero tail is reused from k = 0 without a walk.
     """
-    if shifted.content_valuation() <= e:
-        return False
-    stack = [(shifted.divide_by_uniformizer(e), child) for child in reversed(node.children)]
-    while stack:
-        tau, node = stack.pop()
-        shifted = tau.substitute_affine(node.center, node.m)
-        if shifted.content_valuation() <= node.e:
-            return False
-        tau = shifted.divide_by_uniformizer(node.e)
-        stack.extend((tau, child) for child in reversed(node.children))
-    return True
-
-
-def _reuse_index(tail: MultiPoly, w: WeightSystem, limit: LimitCells) -> int:
-    """k*: an iterate from which on every limit cell is reused.
-
-    After k scaling steps the tail is sum_a c_a pi^(k (w(a) - d)) x^a over
-    its exponent vectors a, so on a cell its content is
-    min_a level_a + k (w(a) - d), with level_a = v(c_a) + <m, a> from
-    _levels (the monomials stay distinct).  Substitutions never lower
-    content, so the replay passes every node once that content exceeds the
-    cell's e plus the largest E_accum in its tree; k* is the least k >= 0 at
-    which this holds on every cell.
-    """
+    terms = [(a, c.valuation(), weighted_degree(a, w.alpha) - w.d) for a, c in tail.terms.items()]
+    if not terms:
+        return 0
     k_star = 0
-    terms = _valued_terms(tail)
-    for cell, known in limit.cells.items():
-        for level, exps in _levels(terms, cell):
-            need = known.e + known.e_max + 1 - level
-            k_star = max(k_star, -(-need // (weighted_degree(exps, w.alpha) - w.d)))
+    stack = [(known.root, (tail.ring.zero(),) * tail.n, cell.m)]
+    while stack:
+        node, C, M = stack.pop()
+        mu = [min(c.valuation(), m) for c, m in zip(C, M)]
+        floor = known.e + node.E_accum + 1
+        for a, v, slope in terms:
+            k_star = max(k_star, (floor - v - sum(map(mul, a, mu)) + slope - 1) // slope)
+        for child in node.children:
+            C_child = tuple(
+                c if x.is_zero() else c + x.times_pi(m) for c, x, m in zip(C, child.center, M)
+            )
+            stack.append((child, C_child, tuple(map(add, M, child.m))))
     return k_star
 
 
@@ -292,25 +283,19 @@ def _cell_integrals(
     w: WeightSystem,
     ctx: SpfContext,
     limit: Optional[LimitCells] = None,
+    k: int = 0,
 ) -> Dict[ValuationCell, CellIntegral]:
-    """F over every complement cell, reusing the limit's cells where exact.
+    """F, the k-th iterate, over every complement cell, reusing the limit's where proven.
 
-    A limit cell is reused when the tail F - f, replayed down the cell's
-    tree, stays above the content extracted at every node (see the module
-    docs); otherwise the cell is closed or descended afresh.
+    A limit cell is reused from its reuse_from on; the other cells are
+    closed or descended afresh.
     """
     terms = _valued_terms(F)
-    tail = F - limit.f if limit is not None else None
-    zero = [F.ring.zero()] * F.n
     out: Dict[ValuationCell, CellIntegral] = {}
     for cell in complement_cells(w.alpha):
-        known = limit.cells.get(cell) if limit is not None else None
-        if known is not None and (
-            tail.is_zero()
-            or _tail_stays_above(tail.substitute_affine(zero, cell.m), known.e, known.root)
-        ):
-            ctx.roots.append(known.root)
-            out[cell] = known
+        if limit is not None and k >= limit.reuse_from[cell]:
+            out[cell] = limit.cells[cell]
+            ctx.roots.append(out[cell].root)
         else:
             out[cell] = _cell_integral(F, terms, cell, ctx)
     return out
@@ -330,9 +315,12 @@ def _complement_sum(p: int, cells: Dict[ValuationCell, CellIntegral]) -> RatFun:
     return total
 
 
-def limit_cells(f: MultiPoly, w: WeightSystem, ctx: Optional[SpfContext] = None) -> LimitCells:
-    """f over every complement cell of A_alpha, kept for reuse by the iterates."""
-    return LimitCells(f, _cell_integrals(f, w, ctx or SpfContext()))
+def limit_cells(dec: SqhDecomposition, ctx: Optional[SpfContext] = None) -> LimitCells:
+    """The quasihomogeneous part over every complement cell, kept for reuse by the iterates."""
+    w = dec.weights
+    cells = _cell_integrals(dec.quasi, w, ctx or SpfContext())
+    reuse = {cell: _reuse_from(dec.tail, w, cell, known) for cell, known in cells.items()}
+    return LimitCells(cells, reuse)
 
 
 def zeta_on_complement(
@@ -340,20 +328,22 @@ def zeta_on_complement(
     w: WeightSystem,
     ctx: Optional[SpfContext] = None,
     limit: Optional[LimitCells] = None,
+    k: int = 0,
 ) -> RatFun:
     """Zeta integral of F over the complement of the polydisc A_alpha.
 
     Assembled as the sum over the |alpha| cells that partition the
     complement, each rewritten onto a residue region and evaluated
     recursively, unless it closes from the exponents (one lowest monomial in
-    the unit coordinate alone) or, with ``limit``,
-    reuses the limit's integral by the reuse lemma of the module docs.
+    the unit coordinate alone) or, with ``limit``, is reused from the limit.
+    Then F must be the k-th iterate of the polynomial whose decomposition
+    built ``limit``, and the cells with reuse_from <= k are reused.
     Closed and reused cells join ctx's trees, and so its statistics, as
     engine calls, with the trees the engine would build.  The result of each cell
     has a single geometric denominator, so after cancellation the sum's
     denominator divides (1 - q^(-1) t); that is asserted.
     """
-    return _complement_sum(F.ring.p, _cell_integrals(F, w, ctx or SpfContext(), limit))
+    return _complement_sum(F.ring.p, _cell_integrals(F, w, ctx or SpfContext(), limit, k))
 
 
 @dataclass
@@ -400,7 +390,7 @@ def zeta_semiquasihomogeneous(
     surfaces as DepthExceeded (exit code 4 in the CLI), never as a wrong
     value that the cap silently accepts.  The iterates need no cap and no
     test of their values: the reuse lemma proves C_k = C_inf for k >= k*
-    (see _reuse_index), so the iterates k < max(k*, 1) are computed and the
+    (see _reuse_from), so the iterates k < max(k*, 1) are computed and the
     sum closes after them.  k0 drops the trailing computed iterates equal to
     C_inf, down to 1 while F has a tail.
     """
@@ -413,7 +403,7 @@ def zeta_semiquasihomogeneous(
     w = dec.weights
     p = F.ring.p
     ctx = SpfContext(cfg)
-    limit = limit_cells(dec.quasi, w, ctx)
+    limit = limit_cells(dec, ctx)
     c_limit = _complement_sum(p, limit.cells)
     u_scale = Fraction(1, p**w.total)
 
@@ -424,13 +414,13 @@ def zeta_semiquasihomogeneous(
         iterates: List[RatFun] = [zeta_on_complement(F, w, ctx, limit)]
         current = F
         tail_level = dec.tail.content_valuation()
-        for _ in range(1, max(_reuse_index(dec.tail, w, limit), 1)):
+        for k in range(1, max(max(limit.reuse_from.values()), 1)):
             current = scale_step(current, w)
             level = (current - dec.quasi).content_valuation()
             if level <= tail_level:
                 raise InvariantViolation("tail valuation failed to increase")
             tail_level = level
-            iterates.append(zeta_on_complement(current, w, ctx, limit))
+            iterates.append(zeta_on_complement(current, w, ctx, limit, k))
         k0 = len(iterates)
         while k0 > 1 and iterates[k0 - 1] == c_limit:
             k0 -= 1

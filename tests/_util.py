@@ -210,3 +210,27 @@ def random_poly(ring, n, rng, max_terms=4, max_exp=3, max_coeff=6):
         poly = int_poly(ring, n, terms)
         if not poly.is_zero():
             return poly
+
+
+def tail_stays_above(shifted, e, node):
+    """The reuse replay: whether a tail, moved onto node as shifted, keeps f's tree under node.
+
+    shifted is the tail after the node's substitution and before its content
+    e is taken out.  The tail must keep content above e at the node, and
+    tau = pi^(-e) shifted, substituted by each child's centre and scaling,
+    must keep content above the child's e, and so on down the subtree.  The
+    subtree is walked in pre-order on an explicit stack, each child's tail
+    substituted when it is popped, and the walk stops at the first failing
+    node.
+    """
+    if shifted.content_valuation() <= e:
+        return False
+    stack = [(shifted.divide_by_uniformizer(e), child) for child in reversed(node.children)]
+    while stack:
+        tau, node = stack.pop()
+        shifted = tau.substitute_affine(node.center, node.m)
+        if shifted.content_valuation() <= node.e:
+            return False
+        tau = shifted.divide_by_uniformizer(node.e)
+        stack.extend((tau, child) for child in reversed(node.children))
+    return True

@@ -159,20 +159,36 @@ def test_deep_two_term_curves_pass_check_at_the_default_depth(capsys, poly, prim
 
 def test_stabilization_past_32_iterates(capsys):
     # the tail 3^70 y^3 needs 36 scaling steps before the complements
-    # settle, and the reuse lemma covers the iterates from k* = 69 on: the
-    # limit and 69 iterates, 5 cells each
+    # settle, and the reuse lemma covers the iterates from k* = 36 on: the
+    # limit and 36 iterates, 5 cells each
     poly = f"x^2+{3**70}*y^3+x*y^2"
     code, out, _ = run(capsys, "compute", poly, "--prime", "3", "--format", "json")
     doc = json.loads(out)
     assert code == 0 and doc["report"]["k0"] == 36
-    assert doc["report"]["tree_stats"]["spf_calls"] == 350
-    digest = "cb4c2e4d5425fdedcadeb28862b1b77af1422a3be4e197bf5a29526f668b7321"
+    assert doc["report"]["tree_stats"]["spf_calls"] == 185
+    digest = "8ef7c2c57765210bf1dfacbd1c22efd643e66bda9873d4ce9a5068163f50d356"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     # every field but tree_stats is the one the 64-iterate cap gave
     del doc["report"]["tree_stats"]
     digest = "a355b37048c7d847f5c8967b636583f5d48ed27973c965de0d177e0d2341c41a"
     assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
     code, out, _ = run(capsys, "check", poly, "--prime", "3", "--levels", "6")
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "PASS  poincare counts == oracle counts", "PASS  series expansion == valuation fibers",
+    ]
+
+
+def test_heavy_tailed_surface(capsys):
+    # x^2+y^3+z^5 with the tail xyz under (15, 10, 6):30: every limit cell is
+    # reused from the first scaling step on, so the limit and iterate 0 are
+    # the only engine calls, 31 cells each
+    argv = ("x^2+y^3+z^5+x*y*z", "--prime", "5", "--weights", "15,10,6:30")
+    code, out, _ = run(capsys, "compute", *argv, "--format", "json")
+    assert code == 0
+    stats = json.loads(out)["report"]["tree_stats"]
+    assert (stats["nodes"], stats["spf_calls"]) == (328, 62)
+    code, out, _ = run(capsys, "check", *argv, "--levels", "2")
     assert code == 0
     assert out.splitlines()[:2] == [
         "PASS  poincare counts == oracle counts", "PASS  series expansion == valuation fibers",
@@ -342,8 +358,8 @@ def test_trace_export(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("poly, prime, digest", [
-    ("x^2+y^3+x*y^2", "7", "237d21584b3805f36b46276d5dedfa65c6a91f75423c3b3012f43a27497833d0"),
-    ("x^2+y^2+z^4+z^5", "5", "f2c5e95a9a481a0456341cdb1d627a868be3586a4bcb15e414caba56ac78e192"),
+    ("x^2+y^3+x*y^2", "7", "5854c33d273b55b2a7858f4e3cf69b94598425fe016a0b5940535de7e107bfe0"),
+    ("x^2+y^2+z^4+z^5", "5", "27f9398e5cfd695ec52a4c04bbcacec1d26f47b79d4329a1564b585fc2b9fb5d"),
 ])
 def test_trace_export_with_iterates(tmp_path, capsys, poly, prime, digest):
     # the iterates reuse the limit's trees; the export must stay byte for
@@ -397,7 +413,7 @@ GOLDEN_COMPUTE_JSON = [
      '[-1, 117649], [1, 823543]]}, "pole_real_parts": [[-1, 1], [-5, 6]], '
      '"poly": "x*y^2 + y^3 + x^2", "prime": 7, "report": {"content_shift": 0, "d": 6, '
      '"k0": 1, "pole_real_parts": [[-1, 1], [-5, 6]], "tree_stats": {"cache_hits": 0, '
-     '"max_depth": 2, "nodes": 32, "spf_calls": 20}, "weights": [3, 2], "zeta": '
+     '"max_depth": 2, "nodes": 16, "spf_calls": 10}, "weights": [3, 2], "zeta": '
      '{"denom": [{"a": 1, "b": 1}, {"a": 5, "b": 6}], "num": [[43, 49], [-13, 343], '
      '[6, 343], [0, 1], [0, 1], [-6, 117649], [-1, 823543], [1, 823543]]}}, "zeta": '
      '{"denom": [{"a": 1, "b": 1}, {"a": 5, "b": 6}], "num": [[43, 49], [-13, 343], '
@@ -409,7 +425,7 @@ GOLDEN_COMPUTE_JSON = [
      '[4, 3125], [-1, 15625], [-1, 78125]]}, "pole_real_parts": [[-5, 4], [-1, 1]], '
      '"poly": "z^5 + z^4 + x^2 + y^2", "prime": 5, "report": {"content_shift": 0, '
      '"d": 4, "k0": 1, "pole_real_parts": [[-5, 4], [-1, 1]], "tree_stats": '
-     '{"cache_hits": 0, "max_depth": 1, "nodes": 28, "spf_calls": 20}, "weights": '
+     '{"cache_hits": 0, "max_depth": 1, "nodes": 14, "spf_calls": 10}, "weights": '
      '[2, 2, 1], "zeta": {"denom": [{"a": 1, "b": 1}, {"a": 5, "b": 4}], "num": '
      '[[19, 25], [21, 625], [16, 3125], [16, 15625], [1, 78125], [-1, 78125]]}}, '
      '"zeta": {"denom": [{"a": 1, "b": 1}, {"a": 5, "b": 4}], "num": [[19, 25], '

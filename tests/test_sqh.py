@@ -23,12 +23,14 @@ from igusa_zeta import (
     zeta_semiquasihomogeneous,
 )
 from igusa_zeta import sqh
+from igusa_zeta.coeff import Lifting
 from igusa_zeta.poly import MultiPoly
-from igusa_zeta.region import cell_change_of_variables, complement_cells
+from igusa_zeta.region import ValuationCell, cell_change_of_variables, complement_cells
 from igusa_zeta.spf import SpfContext, tally_ratfun
 
-from _util import evaluate_residue
+from _util import evaluate_residue, tail_stays_above
 
+Z3 = LocalRing(3)
 Z5 = LocalRing(5)
 Z7 = LocalRing(7)
 F5PI = LocalRing(5, positive_char=True)
@@ -208,20 +210,20 @@ FRESH_CALLS = {
 @pytest.mark.parametrize("text, ring", list(FRESH_CALLS))
 def test_iterate_complements_match_engine_on_every_cell(text, ring, monkeypatch):
     # reused and closed cells give the engine's value, trees and statistics;
-    # from the first scaling step on, every cell replays onto the limit's tree
+    # from the first scaling step on, every cell is reused from the limit
     F = parse(text, ring)
     dec = detect_weights(F)
     w = dec.weights
     cells = len(complement_cells(w.alpha))
     calls = EngineCalls(monkeypatch)
-    limit = limit_cells(dec.quasi, w)
+    limit = limit_cells(dec)
     current = F
     seen = []
     for k in range(4):
         expected, roots = reference_complement(current, w)
         calls.count = 0
         ctx = SpfContext(SpfConfig())
-        assert zeta_on_complement(current, w, ctx=ctx, limit=limit) == expected
+        assert zeta_on_complement(current, w, ctx=ctx, limit=limit, k=k) == expected
         assert [r.to_json() for r in ctx.roots] == [r.to_json() for r in roots]
         stats = ctx.stats_dict()
         assert stats["spf_calls"] == cells
@@ -229,6 +231,16 @@ def test_iterate_complements_match_engine_on_every_cell(text, ring, monkeypatch)
         seen.append(calls.count)
         current = scale_step(current, w)
     assert seen == FRESH_CALLS[text, ring]
+
+
+def replay_passes(F, dec, k, cell, known):
+    """The reference replay of the k-th iterate's tail down the limit cell's tree."""
+    current = F
+    for _ in range(k):
+        current = scale_step(current, dec.weights)
+    zero = [F.ring.zero()] * F.n
+    shifted = (current - dec.quasi).substitute_affine(zero, cell.m)
+    return tail_stays_above(shifted, known.e, known.root)
 
 
 def test_tail_replay_checks_every_node():
@@ -241,7 +253,7 @@ def test_tail_replay_checks_every_node():
     assert child.m == (0, 1) and child.e == 1 and not child.children
     for text in ["25", "5*y", "5*x*y"]:
         tau = parse(text, Z5, n_hint=2)
-        assert sqh._tail_stays_above(tau, 0, trace.root)
+        assert tail_stays_above(tau, 0, trace.root)
         value_tau, trace_tau = spf_zeta(g + tau, region)
         assert value_tau == value
         assert trace_tau.root.to_json() == trace.root.to_json()
@@ -249,26 +261,72 @@ def test_tail_replay_checks_every_node():
     # whose reduction has smooth zeros, so the tree and the value change
     five = parse("5", Z5, n_hint=2)
     assert five.content_valuation() > trace.root.e
-    assert not sqh._tail_stays_above(five, 0, trace.root)
+    assert not tail_stays_above(five, 0, trace.root)
     value_five, trace_five = spf_zeta(g + five, region)
     assert value_five != value
     assert trace_five.root.to_json() != trace.root.to_json()
+    # the index reads the same nodes: under the weights (1, 1):1, 5xy has
+    # content 2 > 1 at the child from k = 0 on, 5x^2 only 1 + k
+    w = WeightSystem((1, 1), 1)
+    known = sqh.CellIntegral({}, 0, trace.root)
+    cell = ValuationCell((0, 0), 0)
+    for text, k_star in [("5*x*y", 0), ("5*x^2", 1), ("x^2", 2)]:
+        tail = parse(text, Z5, n_hint=2)
+        assert sqh._reuse_from(tail, w, cell, known) == k_star
+        scaled = tail
+        for k in range(k_star + 3):
+            assert tail_stays_above(scaled, 0, trace.root) == (k >= k_star)
+            scaled = scale_step(scaled, w)
 
 
 def test_tail_replay_deeper_than_recursion_limit():
-    # x^2 + 3^2400 descends as a chain: each node dilates x -> 3x and takes
-    # out e = 2, down to x^2 + 1 at depth 1200.  A tail 3^a x has content
-    # a + 2 - j against e = 2 at depth j >= 1, so a = 1201 passes every node
-    # and a = 1200 fails at the deepest node only.
-    Z3 = LocalRing(3)
-    _, trace = spf_zeta(parse(f"x^2+{3**2400}", Z3), ResidueRegion.full(3, 1),
+    # x^2 + 3^2400 in x, y descends as a chain: each node dilates x -> 3x
+    # and takes out e = 2, down to x^2 + 1 at depth 1200.  Under the weights
+    # (1, 1):1 a tail 3^a x y has content a + j + k at depth j of the k-th
+    # iterate, against E_accum = 2j, so it is reused from k = 1201 - a on;
+    # the index walks the 1201 nodes without recursing.
+    _, trace = spf_zeta(parse(f"x^2+{3**2400}", Z3, n_hint=2), ResidueRegion.full(3, 2),
                         SpfConfig(max_depth=1300))
     chain = list(trace.root.walk())
     assert [node.depth for node in chain] == list(range(1201))
     assert all(node.e == 2 and len(node.children) == (node.depth < 1200) for node in chain[1:])
-    for a, passes in [(5000, True), (1201, True), (1200, False)]:
-        tail = parse(f"{3**a}*x", Z3)
-        assert sqh._tail_stays_above(tail, 0, trace.root) == passes
+    w = WeightSystem((1, 1), 1)
+    known = sqh.CellIntegral({}, 0, trace.root)
+    cell = ValuationCell((0, 0), 0)
+    for a, k_star in [(5000, 0), (1201, 0), (1200, 1), (1000, 201)]:
+        assert sqh._reuse_from(parse(f"{3**a}*x*y", Z3), w, cell, known) == k_star
+        # the replay of the single monomial passes exactly from k_star on
+        for k in {max(k_star - 1, 0), k_star}:
+            tail = parse(f"{3**(a + k)}*x*y", Z3)
+            assert tail_stays_above(tail, 0, trace.root) == (k >= k_star)
+
+
+ZERO_TO_P = {
+    ring: Lifting(ring, {a: ring.from_int(a) if a else ring.pi() for a in range(ring.p)})
+    for ring in (Z3, Z5, F5PI)
+}
+# deep chains, and x^3+y^3 whose singular classes (1, 2), (2, 1) put v(C_i) below M_i
+TAILS = [(f"x^2+{3**a}*y^3+x*y^3", Z3) for a in (1, 5, 20)] + [("x^3+y^3+x^2*y^2", Z3)]
+REPLAY_INPUTS = [
+    pytest.param(text, ring, lifting, id=f"{text}-{ring.p}{'u' * ring.positive_char}-{name}")
+    for text, ring in list(FRESH_CALLS) + TAILS
+    for name, lifting in [("default", None), ("zero-to-pi", ZERO_TO_P[ring])]
+]
+
+
+@pytest.mark.parametrize("text, ring, lifting", REPLAY_INPUTS)
+def test_reuse_from_against_the_replay(text, ring, lifting):
+    # the reference replay passes at every k >= reuse_from, and a tail of one
+    # monomial fails at reuse_from - 1: Gauss's lemma gives its content
+    # exactly.  Lifting 0 to p makes the centres' sums C_i nonzero.
+    F = parse(text, ring)
+    dec = detect_weights(F)
+    limit = limit_cells(dec, SpfContext(SpfConfig(lifting=lifting)))
+    for cell, known in limit.cells.items():
+        k_star = limit.reuse_from[cell]
+        assert all(replay_passes(F, dec, k, cell, known) for k in range(k_star, k_star + 3))
+        if k_star and len(dec.tail.terms) == 1:
+            assert not replay_passes(F, dec, k_star - 1, cell, known)
 
 
 @pytest.mark.parametrize("text, ring", list(FRESH_CALLS))
@@ -277,54 +335,48 @@ def test_reuse_index_bounds_the_iterates(text, ring, monkeypatch):
     F = parse(text, ring)
     dec = detect_weights(F)
     w = dec.weights
-    limit = limit_cells(dec.quasi, w)
-    k_star = sqh._reuse_index(dec.tail, w, limit)
+    limit = limit_cells(dec)
+    k_star = max(limit.reuse_from.values())
     current = F
     for _ in range(k_star):
         current = scale_step(current, w)
     calls = EngineCalls(monkeypatch)
-    cells = sqh._cell_integrals(current, w, SpfContext(), limit)
+    cells = sqh._cell_integrals(current, w, SpfContext(), limit, k_star)
     assert all(cells[cell] is known for cell, known in limit.cells.items())
     assert calls.count == 0
     _, report = zeta_semiquasihomogeneous(F)
     assert report.k0 <= max(k_star, 1)
 
 
-@pytest.mark.parametrize("a, k_star, k0", [(20, 6, 4), (100, 33, 17)])
+@pytest.mark.parametrize("a, k_star, k0", [(20, 4, 4), (100, 17, 17)])
 def test_reuse_index_against_k0(a, k_star, k0):
-    # x^2 + 3^a y^3 + x y^3 at p = 3: k* grows with a as k0 does
+    # x^2 + 3^a y^3 + x y^3 at p = 3: k* grows with a and meets k0
     F = parse(f"x^2+{3**a}*y^3+x*y^3", LocalRing(3))
-    dec = detect_weights(F)
-    limit = limit_cells(dec.quasi, dec.weights)
-    assert sqh._reuse_index(dec.tail, dec.weights, limit) == k_star
+    assert max(limit_cells(detect_weights(F)).reuse_from.values()) == k_star
     assert zeta_semiquasihomogeneous(F)[1].k0 == k0
 
 
 def test_early_stop_below_reuse_index():
-    # k* = 5 and k0 = 1: the driver runs the limit and the iterates 0..4 over
-    # the 8 cells each, and closes the sum at k*, where the reuse lemma takes
-    # over.  Computed fresh, without the limit's trees, iterates 1..4 equal
-    # C_inf and the sum is Z.
+    # k* = 1 = k0: the driver runs the limit and iterate 0 over the 8 cells
+    # each, and closes the sum at k*, where the reuse lemma takes over.
+    # Computed fresh, without the limit's trees, iterates 1..4 equal C_inf.
     F = parse("x^3+y^5+x^2*y^2", Z5)
     dec = detect_weights(F)
     w = dec.weights
     assert (w.alpha, w.d) == ((5, 3), 15)
-    limit = limit_cells(dec.quasi, w)
-    k_star = sqh._reuse_index(dec.tail, w, limit)
-    assert k_star == 5
+    k_star = max(limit_cells(dec).reuse_from.values())
+    assert k_star == 1
     value, report = zeta_semiquasihomogeneous(F)
     assert report.k0 == 1
     assert report.tree_stats["spf_calls"] == 8 * (1 + k_star)
     c_inf = zeta_on_complement(dec.quasi, w)
+    current = F
+    for _ in range(4):
+        current = scale_step(current, w)
+        assert zeta_on_complement(current, w) == c_inf
     u = Fraction(1, 5**w.total)
     expected = zeta_on_complement(F, w)
-    current = F
-    for k in range(1, k_star):
-        current = scale_step(current, w)
-        c_k = zeta_on_complement(current, w)
-        assert c_k == c_inf
-        expected = expected + c_k.scale(u**k, w.d * k)
-    assert value == expected + c_inf.scale(u**k_star, w.d * k_star).geometric_close(w.total, w.d)
+    assert value == expected + c_inf.scale(u, w.d).geometric_close(w.total, w.d)
 
 
 def test_k0_is_at_least_one_with_a_tail():
@@ -356,7 +408,7 @@ def test_closed_cells_have_the_engine_root(monkeypatch):
     f = parse("x^2+y^3+z^5", Z5)
     w = WeightSystem((15, 10, 6), 30)
     calls = EngineCalls(monkeypatch)
-    limit = limit_cells(f, w)
+    limit = limit_cells(detect_weights(f, w))
     assert 0 < calls.count < len(limit.cells)
     for cell in complement_cells(w.alpha):
         e, d, f_cell, target = cell_change_of_variables(f, cell)
