@@ -338,6 +338,17 @@ def test_separated_reduction_in_bounded_memory(capsys):
     assert code == 0 and "FAIL" not in out
 
 
+@pytest.mark.parametrize("char", ["0", "p"])
+def test_level_one_count_in_bounded_memory(char):
+    # 53^4 = 7.9 million lifting candidates at level 1, taken in slices of the
+    # grid (157 MB in one int64 broadcast before)
+    code, out, peak_mb = run_measured(
+        "check", "x^2+y^2+z^2+w^3", "--prime", "53", "--char", char, "--levels", "1"
+    )
+    assert code == 0 and "checked N up to j=1: [1, 148877]" in out
+    assert peak_mb < 100
+
+
 @pytest.mark.parametrize("argv", [
     ["x^2+y^2+z^2+w^3", "--prime", "101"],
     ["x1^2+x2^2+x3^2+x4^2+x5^2+x6^3", "--prime", "11"],
@@ -358,8 +369,12 @@ def test_trace_export(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("poly, prime, digest", [
-    ("x^2+y^3+x*y^2", "7", "5854c33d273b55b2a7858f4e3cf69b94598425fe016a0b5940535de7e107bfe0"),
-    ("x^2+y^2+z^4+z^5", "5", "27f9398e5cfd695ec52a4c04bbcacec1d26f47b79d4329a1564b585fc2b9fb5d"),
+    pytest.param("x^2+y^3+x*y^2", "7",
+                 "5854c33d273b55b2a7858f4e3cf69b94598425fe016a0b5940535de7e107bfe0",
+                 id="x^2+y^3+x*y^2"),
+    pytest.param("x^2+y^2+z^4+z^5", "5",
+                 "27f9398e5cfd695ec52a4c04bbcacec1d26f47b79d4329a1564b585fc2b9fb5d",
+                 id="x^2+y^2+z^4+z^5"),
 ])
 def test_trace_export_with_iterates(tmp_path, capsys, poly, prime, digest):
     # the iterates reuse the limit's trees; the export must stay byte for

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from igusa_zeta import LocalRing, MultiPoly, ResidueRegion, oracle_counts, parse
+from igusa_zeta import LocalRing, MultiPoly, ResidueRegion, _kernels, oracle_counts, parse
 from igusa_zeta.analysis import congruence_count
 from igusa_zeta.errors import BudgetExceeded
 
@@ -133,10 +134,74 @@ def test_charp_digits_past_one_byte():
     assert oracle_counts(f, 3) == [1, 1, 257, 257]
 
 
+# x^k = 0 mod u^j exactly when the first ceil(j / k) digits of x vanish, so
+# N_j = p^(j - ceil(j / k)).  x^2 over F_5((u)) at J = 8 packs 8 lanes of
+# 8 bits (J b = 64, one word); x^3 over F_2((u)) at J = 16 needs 5-bit lanes,
+# 6 to a word, so 3 words.
+PACKING_BOUNDARIES = [
+    pytest.param(2, 5, 8, 8, 1, id="x^2-F5-J8-one-full-word"),
+    pytest.param(3, 2, 16, 5, 3, id="x^3-F2-J16-three-words"),
+]
+
+
+@pytest.mark.parametrize("k, p, levels, bits, words", PACKING_BOUNDARIES)
+def test_counts_at_packing_boundaries(k, p, levels, bits, words):
+    f = parse(f"x^{k}", LocalRing(p, positive_char=True))
+    lanes = _kernels._Lanes([(k,)], [(1,)], 1, p, levels)
+    assert (lanes.bits, lanes.words) == (bits, words)
+    assert oracle_counts(f, levels) == [p ** (j + (-j // k)) for j in range(levels + 1)]
+
+
+@pytest.mark.parametrize("k, p, levels, bits, words", PACKING_BOUNDARIES)
+def test_packed_values_stay_uint64(monkeypatch, k, p, levels, bits, words):
+    # a float64 or object promotion would lose the exact lanes without an error
+    seen = []
+    grid_values, rows = _kernels._grid_values, _kernels._Lanes.rows
+
+    def record(array, word_axis):
+        seen.append((array.dtype, array.shape[word_axis]))
+        return array
+
+    monkeypatch.setattr(_kernels, "_grid_values", lambda *a: record(grid_values(*a), 0))
+    monkeypatch.setattr(_kernels._Lanes, "rows", lambda *a: record(rows(*a), 2))
+    oracle_counts(parse(f"x^{k}+u*x^{k + 1}", LocalRing(p, positive_char=True)), levels)
+    assert {dtype for dtype, _ in seen} == {np.dtype(np.uint64)}
+    assert max(count for _, count in seen) == words
+
+
+def test_lanes_wider_than_a_word_are_refused():
+    # x_1 ... x_8 over F_257((u)): one lane of the term can reach 256^8 = 2^64
+    with pytest.raises(BudgetExceeded, match="digit lanes of 65 bits"):
+        _kernels._Lanes([(1,) * 8], [[1]], 8, 257, 1)
+
+
+SLICED = [
+    ("x^2+y^3+x*y^2", Z3, 3),
+    ("x^2+y^2+z^2", Z3, 2),
+    ("u*y^2+x", F3PI, 3),
+    ("x^2+u*y^3+x*y*z", F3PI, 2),
+]
+
+
+@pytest.mark.parametrize("text,ring,jmax", SLICED)
+def test_counts_with_the_lift_grid_sliced(monkeypatch, text, ring, jmax):
+    # a slice of 4 candidates cuts every grid of p^n = 9 or 27 points
+    f = parse(text, ring)
+    region = ResidueRegion.product(3, [frozenset({1, 2})] + [frozenset(range(3))] * (f.n - 1))
+    brute = brute_counts_charp if ring.positive_char else brute_counts_char0
+    expected = (brute(f, jmax), brute(f, jmax, lambda r: r[0] in (1, 2))[jmax])
+    monkeypatch.setattr(_kernels, "_SLICE", 4)
+    assert (oracle_counts(f, jmax), congruence_count(f, jmax, region)) == expected
+
+
 @st.composite
 def counting_cases(draw):
-    """(f, levels, allowed sets or None) with p^(n levels) at most 5000."""
-    p = draw(st.sampled_from([2, 3, 5]))
+    """(f, levels, allowed sets or None) with p^(n levels) at most 5000.
+
+    Coefficient digit lists run up to ``levels`` long.  Within 5000 points
+    the drawn lanes fit one word; the examples of the test add three.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7]))
     n = draw(st.integers(1, 3))
     levels = draw(st.integers(1, max(1, max(j for j in range(1, 13) if p ** (n * j) <= 5000))))
     positive_char = draw(st.booleans())
@@ -146,7 +211,8 @@ def counting_cases(draw):
     for e in draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=5)):
         v = draw(st.integers(0, 2))  # coefficients of positive valuation
         if positive_char:
-            c = from_digits(ring, draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3)))
+            digits = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=levels))
+            c = from_digits(ring, digits)
         else:
             c = ring.from_int(draw(st.integers(-7, 7)))
         terms[e] = c * ring.pi(v)
@@ -157,8 +223,18 @@ def counting_cases(draw):
     return f, levels, allowed
 
 
+def _words_case(allowed):
+    # 1 + x + x^2 + x^3 times a unit of 11 digits 1 over F_2((u)), to J = 11:
+    # lanes of 6 bits, 5 to a word, so 3 words
+    ring = LocalRing(2, positive_char=True)
+    c = from_digits(ring, [1] * 11)
+    return MultiPoly(ring, 1, {(e,): c for e in range(4)}), 11, allowed
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(counting_cases())
+@example(_words_case(None))
+@example(_words_case([frozenset({1})]))
 def test_lift_counts_match_reference_property(case):
     f, levels, allowed = case
     region = None if allowed is None else ResidueRegion.product(f.ring.p, allowed)

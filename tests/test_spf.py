@@ -232,9 +232,9 @@ def test_singular_points_on_the_support_dilate_as_boxes(text):
 
 
 @pytest.mark.parametrize("text, ring, nodes", [
-    ("x^2+121*y^5", LocalRing(11), 11),
-    ("x^3+y^5+x^2*y^2", LocalRing(7), 32),
-    ("x^2+2*y^2+z^3+x*y*z", LocalRing(5), 30),
+    pytest.param("x^2+121*y^5", LocalRing(11), 11, id="x^2+121*y^5"),
+    pytest.param("x^3+y^5+x^2*y^2", LocalRing(7), 32, id="x^3+y^5+x^2*y^2"),
+    pytest.param("x^2+2*y^2+z^3+x*y*z", LocalRing(5), 30, id="x^2+2*y^2+z^3+x*y*z"),
 ])
 def test_box_dilatation_node_counts(text, ring, nodes):
     # one dilatation per box, summed over the trees of every complement cell

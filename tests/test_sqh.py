@@ -348,7 +348,10 @@ def test_reuse_index_bounds_the_iterates(text, ring, monkeypatch):
     assert report.k0 <= max(k_star, 1)
 
 
-@pytest.mark.parametrize("a, k_star, k0", [(20, 4, 4), (100, 17, 17)])
+@pytest.mark.parametrize("a, k_star, k0", [
+    pytest.param(20, 4, 4, id="x^2+3^20*y^3+x*y^3"),
+    pytest.param(100, 17, 17, id="x^2+3^100*y^3+x*y^3"),
+])
 def test_reuse_index_against_k0(a, k_star, k0):
     # x^2 + 3^a y^3 + x y^3 at p = 3: k* grows with a and meets k0
     F = parse(f"x^2+{3**a}*y^3+x*y^3", LocalRing(3))
