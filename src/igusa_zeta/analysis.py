@@ -8,7 +8,6 @@ with the engine path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional
@@ -60,18 +59,18 @@ def oracle_counts(f: MultiPoly, j_max: int, budget: int = DEFAULT_BUDGET) -> Lis
     return solution_counts(f, j_max, None, budget)
 
 
-@dataclass
 class PoincareSeries:
     """P(t) with nonnegative coefficients and N_j = p^(n j) [t^j] P integral."""
 
-    ratfun: RatFun
-    n: int
-    p: int
+    __slots__ = ("ratfun", "n", "p")
 
-    def __post_init__(self):
-        c0 = self.ratfun.series_expand(0)
+    def __init__(self, ratfun: RatFun, n: int, p: int):
+        c0 = ratfun.series_expand(0)
         if not c0 or c0[0] != 1:
             raise InvariantViolation("Poincare series must have constant term 1")
+        self.ratfun = ratfun
+        self.n = n
+        self.p = p
 
     def counts(self, j_max: int) -> List[int]:
         out = []

@@ -116,6 +116,9 @@ def _zeta(f: MultiPoly, hint: Optional[sqh.WeightSystem], cfg: spf.SpfConfig):
 
 
 def _render_compute(args, f: MultiPoly, Z: RatFun, report, poincare, counts) -> str:
+    if args.format == "latex":
+        return f"Z(f,s) = {Z.latex()}"
+    poles = sorted(Z.pole_real_parts()) if report is None else report.pole_real_parts
     if args.format == "json":
         doc = {
             "poly": f.render(),
@@ -123,14 +126,12 @@ def _render_compute(args, f: MultiPoly, Z: RatFun, report, poincare, counts) -> 
             "char": args.char,
             "zeta": Z.to_json(),
             "poincare": poincare.ratfun.to_json(),
-            "pole_real_parts": [[q.numerator, q.denominator] for q in sorted(Z.pole_real_parts())],
+            "pole_real_parts": [[q.numerator, q.denominator] for q in poles],
             "N": counts,
         }
         if report is not None:
             doc["report"] = report.to_json()
         return json.dumps(doc, sort_keys=True)
-    if args.format == "latex":
-        return f"Z(f,s) = {Z.latex()}"
     lines = [f"Z(f, s) over {'F_%d((u))' % args.prime if args.char == 'p' else 'Q_%d' % args.prime}, t = {args.prime}^(-s)"]
     if report is not None:
         w = report.weights
@@ -138,7 +139,6 @@ def _render_compute(args, f: MultiPoly, Z: RatFun, report, poincare, counts) -> 
         lines.append(f"  k0          {report.k0}")
         lines.append(f"  tree        {report.tree_stats}")
     lines.append(f"  Z           {Z}")
-    poles = sorted(Z.pole_real_parts())
     lines.append(f"  poles Re(s) {', '.join(map(str, poles)) if poles else '(none)'}")
     lines.append(f"  P(t)        {poincare.ratfun}")
     lines.append(f"  N_j (j<={len(counts) - 1})  {counts}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -22,7 +21,6 @@ from .poly import MultiPoly, ResiduePoly
 from .region import ResidueRegion
 
 
-@dataclass
 class PointClassification:
     """Exhaustive split of a residue region by the reduced hypersurface.
 
@@ -39,12 +37,23 @@ class PointClassification:
     first two sets, are nonzero/total and smooth/total.
     """
 
-    nonzero: int
-    smooth: int
-    support: Tuple[int, ...]
-    singular: List[Tuple[int, ...]]
-    fibre: int
-    total: int
+    __slots__ = ("nonzero", "smooth", "support", "singular", "fibre", "total")
+
+    def __init__(
+        self,
+        nonzero: int,
+        smooth: int,
+        support: Tuple[int, ...],
+        singular: List[Tuple[int, ...]],
+        fibre: int,
+        total: int,
+    ):
+        self.nonzero = nonzero
+        self.smooth = smooth
+        self.support = support
+        self.singular = singular
+        self.fibre = fibre
+        self.total = total
 
     @property
     def nu(self) -> Fraction:
@@ -273,7 +282,6 @@ def dilate(
     return substituted.divide_by_uniformizer(e), e
 
 
-@dataclass
 class DilatationNode:
     """One step of the descendant tree built by the recursive engine.
 
@@ -282,17 +290,36 @@ class DilatationNode:
     enters the root's value with weight q^(-S_accum) t^E_accum.
     """
 
-    center: Optional[Tuple[LocalRingElement, ...]]
-    m: Optional[Tuple[int, ...]]
-    e: int
-    E_accum: int
-    S_accum: int
-    depth: int
-    nu: Fraction
-    sigma: Fraction
-    singular_count: int
-    region: str
-    children: List["DilatationNode"] = field(default_factory=list)
+    __slots__ = (
+        "center", "m", "e", "E_accum", "S_accum", "depth", "nu", "sigma",
+        "singular_count", "region", "children",
+    )
+
+    def __init__(
+        self,
+        center: Optional[Tuple[LocalRingElement, ...]],
+        m: Optional[Tuple[int, ...]],
+        e: int,
+        E_accum: int,
+        S_accum: int,
+        depth: int,
+        nu: Fraction,
+        sigma: Fraction,
+        singular_count: int,
+        region: str,
+        children: Optional[List["DilatationNode"]] = None,
+    ):
+        self.center = center
+        self.m = m
+        self.e = e
+        self.E_accum = E_accum
+        self.S_accum = S_accum
+        self.depth = depth
+        self.nu = nu
+        self.sigma = sigma
+        self.singular_count = singular_count
+        self.region = region
+        self.children = [] if children is None else children
 
     def to_json(self) -> dict:
         """The subtree as nested dicts, built on an explicit stack (any depth)."""

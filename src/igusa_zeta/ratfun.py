@@ -27,7 +27,7 @@ coefficient that d does not divide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
@@ -35,16 +35,15 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import InvariantViolation
 
 
-@dataclass(frozen=True, order=True)
-class DenomFactor:
-    """The factor (1 - q^(-a) t^b)."""
+class DenomFactor(namedtuple("DenomFactor", "a b")):
+    """The factor (1 - q^(-a) t^b); compared, ordered and hashed as the pair (a, b)."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a < 1 or self.b < 1:
+    def __new__(cls, a: int, b: int):
+        if a < 1 or b < 1:
             raise ValueError("denominator factor requires a >= 1 and b >= 1")
+        return tuple.__new__(cls, (a, b))
 
 
 def _trim(coeffs: List[int]):
@@ -118,7 +117,7 @@ class RatFun:
     def __init__(self, p: int, num: Sequence, denom: Sequence[DenomFactor] = ()):
         coeffs = [Fraction(c) for c in num]
         den = lcm(*(c.denominator for c in coeffs))
-        factors = [DenomFactor(f.a, f.b) if isinstance(f, DenomFactor) else DenomFactor(*f) for f in denom]
+        factors = [DenomFactor(*f) for f in denom]
         self._set(p, [c.numerator * (den // c.denominator) for c in coeffs], den, factors)
 
     def _set(self, p: int, num: List[int], den: int, factors: List[DenomFactor]):

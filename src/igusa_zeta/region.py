@@ -14,7 +14,7 @@ on coordinate i), which is what the recursive engine consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import FrozenSet, List, Sequence, Tuple
 
@@ -75,17 +75,15 @@ class ResidueRegion:
         return f"ResidueRegion({self.describe()}, p={self.p}, n={self.n})"
 
 
-@dataclass(frozen=True)
-class ValuationCell:
+class ValuationCell(namedtuple("ValuationCell", "m unit")):
     """{ x : v(x_j) >= m_j for every j, v(x_unit) = m_unit }.
 
     Under x = pi^m o y the cell is the preimage of the product region with
     units on coordinate ``unit`` and every residue elsewhere; the Jacobian
-    is q^(-sum m).
+    is q^(-sum m).  m is a tuple of ints and unit an int.
     """
 
-    m: Tuple[int, ...]
-    unit: int
+    __slots__ = ()
 
     def depth_shift(self) -> int:
         return sum(self.m)

@@ -37,7 +37,6 @@ cancels and gcd-normalises once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -50,7 +49,6 @@ from .ratfun import DenomFactor, RatFun
 from .region import ResidueRegion
 
 
-@dataclass
 class SpfConfig:
     """Caps for the recursive engine.
 
@@ -62,21 +60,26 @@ class SpfConfig:
     driver's iteration needs no cap: sqh bounds it by the reuse lemma.
     """
 
-    max_depth: int = 64
-    budget: int = DEFAULT_BUDGET
-    lifting: Optional[Lifting] = None
+    __slots__ = ("max_depth", "budget", "lifting")
 
-    def __post_init__(self):
-        if self.max_depth < 1:
+    def __init__(
+        self, max_depth: int = 64, budget: int = DEFAULT_BUDGET, lifting: Optional[Lifting] = None
+    ):
+        if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
+        self.max_depth = max_depth
+        self.budget = budget
+        self.lifting = lifting
 
 
-@dataclass
 class SpfTrace:
     """Dilatation tree of one engine run plus aggregate statistics."""
 
-    root: DilatationNode
-    stats: dict
+    __slots__ = ("root", "stats")
+
+    def __init__(self, root: DilatationNode, stats: dict):
+        self.root = root
+        self.stats = stats
 
     def to_json(self) -> dict:
         return {"stats": self.stats, "tree": self.root.to_json()}

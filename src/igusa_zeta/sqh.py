@@ -58,12 +58,13 @@ C_inf and the geometric close stay in RatFun arithmetic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 from operator import add, mul
 from typing import Dict, List, Optional, Tuple
 
+from .coeff import INFINITY
 from .errors import (
     InvalidHint,
     InvariantViolation,
@@ -77,42 +78,41 @@ from .region import ValuationCell, cell_change_of_variables, complement_cells
 from .spf import SpfConfig, SpfContext, Tally, spf_tally, tally_add, tally_ratfun, tally_shift
 
 
-@dataclass(frozen=True)
-class WeightSystem:
-    """Coprime positive exponents alpha and the weighted degree d."""
+class WeightSystem(namedtuple("WeightSystem", "alpha d")):
+    """Coprime positive exponents alpha (a tuple) and the weighted degree d."""
 
-    alpha: Tuple[int, ...]
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.alpha or any(a < 1 for a in self.alpha):
+    def __new__(cls, alpha: Tuple[int, ...], d: int):
+        if not alpha or any(a < 1 for a in alpha):
             raise ValueError("weights must be positive")
-        if gcd(*self.alpha) != 1:
+        if gcd(*alpha) != 1:
             raise ValueError("weights must be coprime")
-        if self.d < 1:
+        if d < 1:
             raise ValueError("weighted degree must be positive")
+        return tuple.__new__(cls, (alpha, d))
 
     @property
     def total(self) -> int:
         return sum(self.alpha)
 
 
-@dataclass
 class SqhDecomposition:
     """F = quasi + tail with the tail strictly above weighted degree d."""
 
-    quasi: MultiPoly
-    tail: MultiPoly
-    weights: WeightSystem
+    __slots__ = ("quasi", "tail", "weights")
 
-    def __post_init__(self):
-        alpha, d = self.weights.alpha, self.weights.d
-        if self.quasi.is_zero():
+    def __init__(self, quasi: MultiPoly, tail: MultiPoly, weights: WeightSystem):
+        alpha, d = weights.alpha, weights.d
+        if quasi.is_zero():
             raise InvariantViolation("empty quasihomogeneous part")
-        if any(weighted_degree(e, alpha) != d for e in self.quasi.terms):
+        if any(weighted_degree(e, alpha) != d for e in quasi.terms):
             raise InvariantViolation("quasihomogeneous part off weight")
-        if any(weighted_degree(e, alpha) <= d for e in self.tail.terms):
+        if any(weighted_degree(e, alpha) <= d for e in tail.terms):
             raise InvariantViolation("tail monomial at or below weight")
+        self.quasi = quasi
+        self.tail = tail
+        self.weights = weights
 
 
 def _split_by_weight(F: MultiPoly, w: WeightSystem) -> Tuple[MultiPoly, MultiPoly]:
@@ -182,7 +182,6 @@ def scale_step(F: MultiPoly, w: WeightSystem) -> MultiPoly:
     return F.substitute_affine(zero, w.alpha).divide_by_uniformizer(w.d)
 
 
-@dataclass
 class CellIntegral:
     """The zeta integral over one complement cell, with its tree.
 
@@ -194,12 +193,14 @@ class CellIntegral:
     contents bound the iterates' tails (see _reuse_from).
     """
 
-    value: Tally
-    e: int
-    root: DilatationNode
+    __slots__ = ("value", "e", "root")
+
+    def __init__(self, value: Tally, e: int, root: DilatationNode):
+        self.value = value
+        self.e = e
+        self.root = root
 
 
-@dataclass
 class LimitCells:
     """The limit f over every complement cell of A_alpha, and where the iterates reuse it.
 
@@ -207,8 +208,13 @@ class LimitCells:
     cells[cell] iff k >= reuse_from[cell].
     """
 
-    cells: Dict[ValuationCell, CellIntegral]
-    reuse_from: Dict[ValuationCell, int]
+    __slots__ = ("cells", "reuse_from")
+
+    def __init__(
+        self, cells: Dict[ValuationCell, CellIntegral], reuse_from: Dict[ValuationCell, int]
+    ):
+        self.cells = cells
+        self.reuse_from = reuse_from
 
 
 def _valued_terms(F: MultiPoly) -> List[Tuple[Tuple[int, ...], int]]:
@@ -258,23 +264,39 @@ def _reuse_from(tail: MultiPoly, w: WeightSystem, cell: ValuationCell, known: Ce
     the module docs holds at the node once every monomial's content exceeds
     e + E_accum(node), and then at every later k too.  The tree is walked
     on an explicit stack; a zero tail is reused from k = 0 without a walk.
+
+    The walk carries v(C_i), not C_i: adding pi^(M_i) c_i makes it the
+    smaller of v(C_i) and M_i + v(c_i) unless the two tie, and only then can
+    the sum cancel.  A tie needs v(C_i) >= M_i, and once v(C_i) < M_i every
+    later term lies deeper, so the element C_i is kept, and a sum formed,
+    only while v(C_i) >= M_i; past that it is None.
     """
     terms = [(a, c.valuation(), weighted_degree(a, w.alpha) - w.d) for a, c in tail.terms.items()]
     if not terms:
         return 0
     k_star = 0
-    stack = [(known.root, (tail.ring.zero(),) * tail.n, cell.m)]
+    stack = [(known.root, (INFINITY,) * tail.n, (tail.ring.zero(),) * tail.n, cell.m)]
     while stack:
-        node, C, M = stack.pop()
-        mu = [min(c.valuation(), m) for c, m in zip(C, M)]
+        node, V, C, M = stack.pop()
+        mu = [min(v, m) for v, m in zip(V, M)]
         floor = known.e + node.E_accum + 1
         for a, v, slope in terms:
             k_star = max(k_star, (floor - v - sum(map(mul, a, mu)) + slope - 1) // slope)
         for child in node.children:
-            C_child = tuple(
-                c if x.is_zero() else c + x.times_pi(m) for c, x, m in zip(C, child.center, M)
-            )
-            stack.append((child, C_child, tuple(map(add, M, child.m))))
+            M_child = tuple(map(add, M, child.m))
+            V_child, C_child = [], []
+            for v, c, x, m, m_child in zip(V, C, child.center, M, M_child):
+                if not x.is_zero():
+                    v_term = m + x.valuation()
+                    if v_term == v:
+                        c = c + x.times_pi(m)
+                        v = c.valuation()
+                    else:
+                        v = min(v, v_term)
+                        c = c + x.times_pi(m) if v >= m_child else None
+                V_child.append(v)
+                C_child.append(c)
+            stack.append((child, V_child, C_child, M_child))
     return k_star
 
 
@@ -346,24 +368,37 @@ def zeta_on_complement(
     return _complement_sum(F.ring.p, _cell_integrals(F, w, ctx or SpfContext(), limit, k))
 
 
-@dataclass
 class SqhReport:
     """What the driver learned: weights, stabilization index, poles, sizes.
 
-    roots holds the dilatation tree of every complement cell of the limit
-    and of each iterate, in that order; it is left out of to_json.  Cells
-    that were reused from the limit or closed from the exponents are
-    included, with the trees the engine would build, and tree_stats counts
-    them as engine calls.
+    pole_real_parts is sorted.  roots holds the dilatation tree of every
+    complement cell of the limit and of each iterate, in that order; it is
+    left out of to_json.  Cells that were reused from the limit or closed
+    from the exponents are included, with the trees the engine would build,
+    and tree_stats counts them as engine calls.
     """
 
-    weights: WeightSystem
-    k0: int
-    zeta: RatFun
-    pole_real_parts: list
-    tree_stats: dict
-    content_shift: int = 0
-    roots: list = field(default_factory=list, repr=False)
+    __slots__ = (
+        "weights", "k0", "zeta", "pole_real_parts", "tree_stats", "content_shift", "roots",
+    )
+
+    def __init__(
+        self,
+        weights: WeightSystem,
+        k0: int,
+        zeta: RatFun,
+        pole_real_parts: list,
+        tree_stats: dict,
+        content_shift: int = 0,
+        roots: Optional[list] = None,
+    ):
+        self.weights = weights
+        self.k0 = k0
+        self.zeta = zeta
+        self.pole_real_parts = pole_real_parts
+        self.tree_stats = tree_stats
+        self.content_shift = content_shift
+        self.roots = [] if roots is None else roots
 
     def to_json(self) -> dict:
         return {
@@ -371,7 +406,7 @@ class SqhReport:
             "d": self.weights.d,
             "k0": self.k0,
             "zeta": self.zeta.to_json(),
-            "pole_real_parts": [[q.numerator, q.denominator] for q in sorted(self.pole_real_parts)],
+            "pole_real_parts": [[q.numerator, q.denominator] for q in self.pole_real_parts],
             "tree_stats": self.tree_stats,
             "content_shift": self.content_shift,
         }

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from igusa_zeta import DenomFactor, InvariantViolation, RatFun
+from igusa_zeta import DenomFactor, InvariantViolation, PoincareSeries, RatFun
 
 from _ratfun_reference import ReferenceRatFun
 
@@ -16,10 +16,18 @@ def geo(p, a, b):
 
 def test_denom_factor_validation():
     DenomFactor(1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires a >= 1 and b >= 1"):
         DenomFactor(0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires a >= 1 and b >= 1"):
         DenomFactor(1, 0)
+    assert repr(DenomFactor(1, 1)) == "DenomFactor(a=1, b=1)"
+
+
+def test_poincare_series_validation():
+    PoincareSeries(RatFun.const(5, 1), 1, 5)
+    for ratfun in (RatFun.const(5, 2), RatFun.zero(5), RatFun.monomial(5, 1, 1)):
+        with pytest.raises(InvariantViolation, match="must have constant term 1"):
+            PoincareSeries(ratfun, 1, 5)
 
 
 def test_add_geometric_identity():

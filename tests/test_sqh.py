@@ -6,6 +6,7 @@ import pytest
 from igusa_zeta import (
     DenomFactor,
     InvalidHint,
+    InvariantViolation,
     LocalRing,
     NotSemiQuasiHomogeneous,
     RatFun,
@@ -41,12 +42,32 @@ F5PI = LocalRing(5, positive_char=True)
 
 def test_weight_system_validation():
     WeightSystem((3, 2), 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weights must be coprime"):
         WeightSystem((2, 4), 6)  # gcd 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weights must be positive"):
         WeightSystem((0, 1), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weights must be positive"):
+        WeightSystem((), 1)
+    with pytest.raises(ValueError, match="weighted degree must be positive"):
         WeightSystem((1, 1), 0)
+
+
+def test_spf_config_validation():
+    SpfConfig(max_depth=1)
+    with pytest.raises(ValueError, match="max_depth must be >= 1"):
+        SpfConfig(max_depth=0)
+
+
+def test_sqh_decomposition_validation():
+    w = WeightSystem((3, 2), 6)
+    quasi, tail = parse("x^2+y^3", Z5), parse("x*y^2", Z5, n_hint=2)
+    assert sqh.SqhDecomposition(quasi, tail, w).weights == w
+    with pytest.raises(InvariantViolation, match="quasihomogeneous part off weight"):
+        sqh.SqhDecomposition(parse("x^2+y^3+x*y^2", Z5), MultiPoly(Z5, 2, {}), w)
+    with pytest.raises(InvariantViolation, match="tail monomial at or below weight"):
+        sqh.SqhDecomposition(parse("x^2", Z5, n_hint=2), parse("y^3", Z5, n_hint=2), w)
+    with pytest.raises(InvariantViolation, match="empty quasihomogeneous part"):
+        sqh.SqhDecomposition(MultiPoly(Z5, 2, {}), tail, w)
 
 
 def test_detect_cusp():
