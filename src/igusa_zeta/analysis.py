@@ -60,27 +60,37 @@ def oracle_counts(f: MultiPoly, j_max: int, budget: int = DEFAULT_BUDGET) -> Lis
 
 
 class PoincareSeries:
-    """P(t) with nonnegative coefficients and N_j = p^(n j) [t^j] P integral."""
+    """P(t) with nonnegative coefficients and N_j = p^(n j) [t^j] P integral.
+
+    Both are read off P's integer series (RatFun.series_integers): with
+    [t^j] P = s_j / (D r^j), the constant term is 1 iff s_0 = D, and N_j is
+    the exact quotient of s_j p^(n j) by D r^j.
+    """
 
     __slots__ = ("ratfun", "n", "p")
 
     def __init__(self, ratfun: RatFun, n: int, p: int):
-        c0 = ratfun.series_expand(0)
-        if not c0 or c0[0] != 1:
+        s, den, _ = ratfun.series_integers(0)
+        if s[0] != den:
             raise InvariantViolation("Poincare series must have constant term 1")
         self.ratfun = ratfun
         self.n = n
         self.p = p
 
     def counts(self, j_max: int) -> List[int]:
-        out = []
-        for j, c in enumerate(self.ratfun.series_expand(j_max)):
-            scaled = c * Fraction(self.p ** (self.n * j))
-            if scaled.denominator != 1 or scaled < 0:
+        s, den, r = self.ratfun.series_integers(j_max)
+        q = self.p**self.n
+        scale, out = 1, []
+        for j, c in enumerate(s):
+            count, rem = divmod(c * scale, den)
+            if rem or count < 0:
                 raise InvariantViolation(
-                    f"coefficient of t^{j} gives non-integral or negative count {scaled}"
+                    f"coefficient of t^{j} gives non-integral or negative count "
+                    f"{Fraction(c * scale, den)}"
                 )
-            out.append(int(scaled))
+            out.append(count)
+            scale *= q
+            den *= r
         return out
 
 
@@ -89,10 +99,10 @@ def poincare_from_zeta(Z: RatFun, n: int) -> PoincareSeries:
 
     The numerator of 1 - t Z always vanishes at t = 1 when Z integrates a
     nonzero polynomial over the whole space (mass one), so the division is
-    exact; a perturbed Z fails here or in the count extraction.
+    exact; RatFun.poincare builds P from Z's integer form in one step, and
+    a perturbed Z fails there or in the count extraction.
     """
-    one_minus = RatFun.const(Z.p, 1) - Z.scale(1, 1)
-    return PoincareSeries(one_minus.divide_numerator_exactly(1, 1), n, Z.p)
+    return PoincareSeries(Z.poincare(), n, Z.p)
 
 
 # -- closed form for a*x^n + b*y^m ---------------------------------------------

@@ -120,17 +120,18 @@ def _render_compute(args, f: MultiPoly, Z: RatFun, report, poincare, counts) -> 
         return f"Z(f,s) = {Z.latex()}"
     poles = sorted(Z.pole_real_parts()) if report is None else report.pole_real_parts
     if args.format == "json":
+        zeta = Z.to_json()
         doc = {
             "poly": f.render(),
             "prime": args.prime,
             "char": args.char,
-            "zeta": Z.to_json(),
+            "zeta": zeta,
             "poincare": poincare.ratfun.to_json(),
             "pole_real_parts": [[q.numerator, q.denominator] for q in poles],
             "N": counts,
         }
         if report is not None:
-            doc["report"] = report.to_json()
+            doc["report"] = report.to_json(zeta)
         return json.dumps(doc, sort_keys=True)
     lines = [f"Z(f, s) over {'F_%d((u))' % args.prime if args.char == 'p' else 'Q_%d' % args.prime}, t = {args.prime}^(-s)"]
     if report is not None:

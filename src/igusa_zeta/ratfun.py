@@ -11,18 +11,19 @@ the factor multiset.  The value is N(t) / (D * prod (1 - p^(-a) t^b)).  The
 arithmetic is integer polynomial arithmetic: a factor (1 - p^(-a) t^b)
 multiplies N by (p^a - t^b) and D by p^a, a sum brings both numerators to
 one common denominator, and equality cross-multiplies integer vectors.
-``num``, the tuple of Fraction coefficients N_i / D, is a derived view for
-rendering and series.
+The Taylor series and the JSON form are read off the integers too (see
+series_integers and to_json); ``num``, the tuple of Fraction coefficients
+N_i / D, is a derived view for the text and LaTeX renderings only.
 
 Canonical form: the numerator is divided by every denominator factor that
 divides it (greedily, factors in sorted order) and the remaining factor
 multiset is kept sorted.  Because distinct multisets can still represent
 equal functions, equality is decided by cross-multiplication.
 
-Exact division by (1 - (n/d) t^b), gcd(n, d) = 1, is division of the
-integer N by the primitive (d - n t^b), whose quotient is integral by
-Gauss's lemma when it exists; so the low-end recurrence stops at the first
-coefficient that d does not divide.
+Exact division by (1 - p^(-a) t^b) is division of the integer N by the
+primitive (p^a - t^b), whose quotient is integral by Gauss's lemma when it
+exists; so the low-end recurrence stops at the first coefficient that p^a
+does not divide.
 """
 
 from __future__ import annotations
@@ -71,12 +72,12 @@ def _times_factors(num: Sequence[int], den: int, p: int, factors) -> Tuple[Seque
     return num, den
 
 
-def _divide_exact(num: Sequence[int], b: int, n: int, d: int) -> Optional[List[int]]:
-    """R with num = R * (d - n t^b), or None when (d - n t^b) does not divide num.
+def _divide_exact(num: Sequence[int], b: int, d: int) -> Optional[List[int]]:
+    """R with num = R * (d - t^b), or None when (d - t^b) does not divide num.
 
-    ``num`` is trimmed and integral and gcd(n, d) = 1, so the divisor is
-    primitive and an exact quotient is integral: the recurrence
-    R_i = (N_i + n R_(i-b)) / d stops at the first inexact step.
+    ``num`` is trimmed and integral and the divisor is primitive, so an
+    exact quotient is integral: the recurrence R_i = (N_i + R_(i-b)) / d
+    stops at the first inexact step.
     """
     if not num:
         return []
@@ -86,13 +87,13 @@ def _divide_exact(num: Sequence[int], b: int, n: int, d: int) -> Optional[List[i
     top = deg - b
     quot: List[int] = []
     for i in range(top + 1):
-        v = num[i] + n * quot[i - b] if i >= b else num[i]
+        v = num[i] + quot[i - b] if i >= b else num[i]
         r, rem = divmod(v, d)
         if rem:
             return None
         quot.append(r)
     for i in range(top + 1, deg + 1):
-        if (num[i] + n * quot[i - b] if i >= b else num[i]) != 0:
+        if (num[i] + quot[i - b] if i >= b else num[i]) != 0:
             return None
     return quot
 
@@ -133,7 +134,7 @@ class RatFun:
             mult, kept = 1, []
             for f in sorted(factors):
                 pa = p**f.a
-                quot = _divide_exact(num, f.b, 1, pa)
+                quot = _divide_exact(num, f.b, pa)
                 if quot is None:
                     kept.append(f)
                 else:
@@ -231,30 +232,59 @@ class RatFun:
 
     # -- analysis --------------------------------------------------------------
 
+    def series_integers(self, order: int) -> Tuple[List[int], int, int]:
+        """(s, D, r) with Taylor coefficients c_j = s_j / (D r^j), j = 0..order, all integers.
+
+        r = p^E with E = max ceil(a/b) over the factors (E = 0 without any),
+        so D times the value at r t is N(r t) / prod (1 - p^(E b - a) t^b),
+        whose coefficients are integers: the numerator N_i r^i, then per
+        factor the recurrence s_i += p^(E b - a) s_(i-b).
+        """
+        E = max((-(-f.a // f.b) for f in self.denom), default=0)
+        r = self.p**E
+        s = [0] * (order + 1)
+        power = 1
+        for i, c in enumerate(self._num[: order + 1]):
+            s[i] = c * power
+            power *= r
+        for f in self.denom:
+            m = self.p ** (E * f.b - f.a)
+            for i in range(f.b, order + 1):
+                s[i] += m * s[i - f.b]
+        return s, self._den, r
+
     def series_expand(self, order: int) -> List[Fraction]:
         """Taylor coefficients c_0..c_order at t = 0, exact."""
-        if order < 0:
-            return []
-        out = [Fraction(0)] * (order + 1)
-        for i, c in enumerate(self._num[: order + 1]):
-            out[i] = Fraction(c, self._den)
-        for f in self.denom:
-            c = Fraction(1, self.p**f.a)
-            for i in range(f.b, order + 1):
-                out[i] += c * out[i - f.b]
+        s, den, r = self.series_integers(order)
+        out = []
+        for c in s:
+            out.append(Fraction(c, den))
+            den *= r
         return out
+
+    def poincare(self) -> "RatFun":
+        """(1 - t Z) / (1 - t) for Z = self; InvariantViolation unless (1 - t) divides exactly.
+
+        With Z = N / (D prod (1 - p^(-a) t^b)), 1 - t Z is
+        D prod (p^a - t^b) - t N prod p^a over D prod p^a and Z's factors.
+        (1 - t) divides that numerator iff it vanishes at t = 1, its last
+        running sum; the running sums before it are the quotient.
+        """
+        num, scale = _times_factors([self._den], 1, self.p, self.denom)
+        num.extend([0] * (len(self._num) + 1 - len(num)))
+        for i, c in enumerate(self._num):
+            num[i + 1] -= scale * c
+        total = 0
+        for i, c in enumerate(num):
+            total += c
+            num[i] = total
+        if num.pop():
+            raise InvariantViolation("numerator not divisible by (1 - 1 t^1)")
+        return RatFun.from_integers(self.p, num, self._den * scale, self.denom)
 
     def pole_real_parts(self) -> set:
         """Real parts of the poles in s: { -a/b } over the canonical denominator."""
         return {Fraction(-f.a, f.b) for f in self.denom}
-
-    def divide_numerator_exactly(self, b: int, c) -> "RatFun":
-        """Divide the numerator by (1 - c t^b); raises when not exact."""
-        n, d = Fraction(c).as_integer_ratio()
-        quot = _divide_exact(self._num, b, n, d)
-        if quot is None:
-            raise InvariantViolation(f"numerator not divisible by (1 - {c} t^{b})")
-        return RatFun.from_integers(self.p, [d * v for v in quot], self._den, self.denom)
 
     # -- equality and rendering -------------------------------------------------
 
@@ -272,8 +302,14 @@ class RatFun:
     __hash__ = None
 
     def to_json(self) -> dict:
+        """Coefficients as [numerator, denominator] pairs in lowest terms, and the factors."""
+        den = self._den
+        num = []
+        for c in self._num:
+            g = gcd(c, den)
+            num.append([c // g, den // g])
         return {
-            "num": [[c.numerator, c.denominator] for c in self.num],
+            "num": num,
             "denom": [{"a": f.a, "b": f.b} for f in self.denom],
         }
 

@@ -64,7 +64,7 @@ from math import gcd
 from operator import add, mul
 from typing import Dict, List, Optional, Tuple
 
-from .coeff import INFINITY
+from .coeff import INFINITY, LocalRing
 from .errors import (
     InvalidHint,
     InvariantViolation,
@@ -252,7 +252,17 @@ def _cell_integral(F: MultiPoly, terms, cell: ValuationCell, ctx: SpfContext) ->
     return CellIntegral(tally_shift(tally, e, cell.depth_shift()), e, root)
 
 
-def _reuse_from(tail: MultiPoly, w: WeightSystem, cell: ValuationCell, known: CellIntegral) -> int:
+def _tail_terms(tail: MultiPoly, w: WeightSystem) -> List[Tuple[Tuple[int, ...], int, int]]:
+    """(a, v(c_a), w(a) - d) per tail monomial c_a x^a: its content gains w(a) - d per step."""
+    return [(a, c.valuation(), weighted_degree(a, w.alpha) - w.d) for a, c in tail.terms.items()]
+
+
+def _reuse_from(
+    terms: List[Tuple[Tuple[int, ...], int, int]],
+    ring: LocalRing,
+    cell: ValuationCell,
+    known: CellIntegral,
+) -> int:
     """The least k >= 0 from which the k-th iterate reuses the limit's integral over the cell.
 
     Along the path to a node of the cell's tree the substitutions compose to
@@ -262,8 +272,10 @@ def _reuse_from(tail: MultiPoly, w: WeightSystem, cell: ValuationCell, known: Ce
     so by Gauss's lemma its content at the node is
     v(c_a) + sum_i a_i min(v(C_i), M_i) + k (w(a) - d).  The reuse lemma of
     the module docs holds at the node once every monomial's content exceeds
-    e + E_accum(node), and then at every later k too.  The tree is walked
-    on an explicit stack; a zero tail is reused from k = 0 without a walk.
+    e + E_accum(node), and then at every later k too.  ``terms`` is the
+    tail's _tail_terms, built once per decomposition, and ``ring`` its
+    ring.  The tree is walked on an explicit stack; a zero tail is reused
+    from k = 0 without a walk.
 
     The walk carries v(C_i), not C_i: adding pi^(M_i) c_i makes it the
     smaller of v(C_i) and M_i + v(c_i) unless the two tie, and only then can
@@ -271,11 +283,11 @@ def _reuse_from(tail: MultiPoly, w: WeightSystem, cell: ValuationCell, known: Ce
     later term lies deeper, so the element C_i is kept, and a sum formed,
     only while v(C_i) >= M_i; past that it is None.
     """
-    terms = [(a, c.valuation(), weighted_degree(a, w.alpha) - w.d) for a, c in tail.terms.items()]
     if not terms:
         return 0
     k_star = 0
-    stack = [(known.root, (INFINITY,) * tail.n, (tail.ring.zero(),) * tail.n, cell.m)]
+    n = len(cell.m)
+    stack = [(known.root, (INFINITY,) * n, (ring.zero(),) * n, cell.m)]
     while stack:
         node, V, C, M = stack.pop()
         mu = [min(v, m) for v, m in zip(V, M)]
@@ -341,7 +353,8 @@ def limit_cells(dec: SqhDecomposition, ctx: Optional[SpfContext] = None) -> Limi
     """The quasihomogeneous part over every complement cell, kept for reuse by the iterates."""
     w = dec.weights
     cells = _cell_integrals(dec.quasi, w, ctx or SpfContext())
-    reuse = {cell: _reuse_from(dec.tail, w, cell, known) for cell, known in cells.items()}
+    terms = _tail_terms(dec.tail, w)
+    reuse = {cell: _reuse_from(terms, dec.tail.ring, cell, known) for cell, known in cells.items()}
     return LimitCells(cells, reuse)
 
 
@@ -400,12 +413,13 @@ class SqhReport:
         self.content_shift = content_shift
         self.roots = [] if roots is None else roots
 
-    def to_json(self) -> dict:
+    def to_json(self, zeta: Optional[dict] = None) -> dict:
+        """The report as JSON; ``zeta`` is self.zeta.to_json() when the caller has built it."""
         return {
             "weights": list(self.weights.alpha),
             "d": self.weights.d,
             "k0": self.k0,
-            "zeta": self.zeta.to_json(),
+            "zeta": self.zeta.to_json() if zeta is None else zeta,
             "pole_real_parts": [[q.numerator, q.denominator] for q in self.pole_real_parts],
             "tree_stats": self.tree_stats,
             "content_shift": self.content_shift,

@@ -4,12 +4,14 @@ Every coefficient is its own `fractions.Fraction`, and every construction
 runs the greedy cancellation on the Fraction numerator: the factors are
 tried in sorted order, the first that divides is removed, and the scan
 restarts until none divides.  Tests compare `igusa_zeta.RatFun`, which
-stores integers over one common denominator, against this class.
+stores integers over one common denominator, against this class; its
+series, and the Poincare series P = (1 - t Z) / (1 - t) with its counts,
+against the Fraction constructions below.
 """
 
 from fractions import Fraction
 
-from igusa_zeta import DenomFactor, InvariantViolation
+from igusa_zeta import DenomFactor, InvariantViolation, RatFun
 
 
 def _trim(coeffs):
@@ -113,6 +115,17 @@ class ReferenceRatFun:
     def times_factor(self, a, b):
         return ReferenceRatFun(self.p, _poly_mul(self.num, self._factor(DenomFactor(a, b))), self.denom)
 
+    def series_expand(self, order):
+        """Taylor coefficients c_0..c_order: the numerator, then 1/(1 - c t^b) per factor."""
+        out = [Fraction(0)] * (order + 1)
+        for i, c in enumerate(self.num[: order + 1]):
+            out[i] = c
+        for f in self.denom:
+            c = Fraction(1, self.p**f.a)
+            for i in range(f.b, order + 1):
+                out[i] += c * out[i - f.b]
+        return out
+
     def divide_numerator_exactly(self, b, c):
         quot = _divide_once(self.num, b, Fraction(c))
         if quot is None:
@@ -128,3 +141,28 @@ class ReferenceRatFun:
         return left == right
 
     __hash__ = None
+
+
+def poincare_reference(Z):
+    """P = (1 - t Z) / (1 - t) for a RatFun Z: const - scale, add, then the Fraction division."""
+    one_minus = RatFun.const(Z.p, 1) - Z.scale(1, 1)
+    quot = _divide_once(one_minus.num, 1, Fraction(1))
+    if quot is None:
+        raise InvariantViolation("numerator not divisible by (1 - 1 t^1)")
+    return RatFun(Z.p, quot, one_minus.denom)
+
+
+def counts_reference(P, n, j_max):
+    """N_j = p^(n j) [t^j] P for j <= j_max from P's Fraction series.
+
+    Raises unless every N_j is a nonnegative integer.
+    """
+    out = []
+    for j, c in enumerate(ReferenceRatFun(P.p, P.num, P.denom).series_expand(j_max)):
+        scaled = c * Fraction(P.p ** (n * j))
+        if scaled.denominator != 1 or scaled < 0:
+            raise InvariantViolation(
+                f"coefficient of t^{j} gives non-integral or negative count {scaled}"
+            )
+        out.append(int(scaled))
+    return out

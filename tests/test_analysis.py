@@ -83,11 +83,12 @@ def test_poincare_counts_match_oracle():
 def test_poincare_rejects_perturbed_zeta():
     Z = RatFun(5, (Fraction(4, 5),), ((1, 1),))
     # breaks divisibility by (1 - t)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match=r"^numerator not divisible by \(1 - 1 t\^1\)$"):
         poincare_from_zeta(Z + RatFun.const(5, Fraction(1, 3)), 1)
     # survives division but produces a non-integral count
     skewed = Z + RatFun.monomial(5, Fraction(1, 7), 1) - RatFun.monomial(5, Fraction(1, 7), 2)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation,
+                       match=r"^coefficient of t\^2 gives non-integral or negative count -18/7$"):
         poincare_from_zeta(skewed, 1).counts(3)
 
 

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from igusa_zeta import DenomFactor, InvariantViolation, PoincareSeries, RatFun
+from igusa_zeta import DenomFactor, InvariantViolation, PoincareSeries, RatFun, poincare_from_zeta
 
-from _ratfun_reference import ReferenceRatFun
+from _ratfun_reference import ReferenceRatFun, counts_reference, poincare_reference
 
 
 def geo(p, a, b):
@@ -107,14 +107,21 @@ def test_json_roundtrip():
     back = RatFun.from_json(json.loads(blob), 5)
     assert back == r
     assert back.num == r.num and back.denom == r.denom
+    # a zero and a negative coefficient, each in lowest terms
+    assert r.to_json() == {
+        "num": [[4, 5], [0, 1], [-1, 3]], "denom": [{"a": 1, "b": 1}, {"a": 5, "b": 6}]
+    }
+    assert RatFun(7, (Fraction(-6, 49), 0, 2)).to_json() == {
+        "num": [[-6, 49], [0, 1], [2, 1]], "denom": []
+    }
 
 
 def test_divide_numerator_exactly():
-    # (1 - t) / (1 - t) = 1
-    r = RatFun(5, (1, -1))
-    assert r.divide_numerator_exactly(1, 1) == RatFun.const(5, 1)
-    with pytest.raises(InvariantViolation):
-        RatFun(5, (1, 1)).divide_numerator_exactly(1, 1)
+    # the Fraction reference's division, which poincare_reference runs: (1 - t) / (1 - t) = 1
+    r = ReferenceRatFun(5, (1, -1))
+    assert r.divide_numerator_exactly(1, 1) == ReferenceRatFun(5, (1,))
+    with pytest.raises(InvariantViolation, match=r"not divisible by \(1 - 1 t\^1\)"):
+        ReferenceRatFun(5, (1, 1)).divide_numerator_exactly(1, 1)
 
 
 def test_times_factor_inverts_geometric_close():
@@ -161,7 +168,7 @@ def test_integer_arithmetic_matches_fraction_reference():
     for _ in range(400):
         p = rng.choice([2, 3, 5, 7])
         d = rng.randint(2, 4)
-        pool = [(1, 1), (d, d), (1, 2), (2, 1), (3, 2), (d + 1, d)]
+        pool = [(1, 1), (d, d), (1, 2), (2, 1), (3, 2), (d + 1, d), (1, 3), (5, 2)]  # a < b, a > b
         denominators = [1, 3, 7, p, p * p, 3 * p]  # 3 and 7 are not powers of most p
 
         def draw():
@@ -188,11 +195,19 @@ def test_integer_arithmetic_matches_fraction_reference():
         assert (x == y) == (rx == ry)
         z, rz = times_factor(x.geometric_close(a, b), a, b), rx.geometric_close(a, b).times_factor(a, b)
         assert _same(z, rz) and (x == z) and (rx == rz)
-        # a divisor that divides and one that may not, including the Poincare bridge's (1 - t)
-        c = rng.choice([Fraction(1), Fraction(1, p**a), Fraction(-1, 3), Fraction(2, 5)])
-        b = rng.randint(1, 3)
-        planted = _mul_factor(rx.num, c, b)
-        for u, ru in ((x, rx), (RatFun(p, planted, rx.denom), ReferenceRatFun(p, planted, rx.denom))):
-            got = _outcome(lambda: u.divide_numerator_exactly(b, c))
-            want = _outcome(lambda: ru.divide_numerator_exactly(b, c))
-            assert got == want if isinstance(want, str) else _same(got, want)
+        # the integer series against the Fraction recurrence
+        assert x.series_expand(9) == rx.series_expand(9)
+        assert (x + y).series_expand(9) == (rx + ry).series_expand(9)
+        # the Poincare bridge: Z = 1 - (1 - t) y has mass one and P = 1 + t y; x mostly has not
+        n = rng.randint(1, 3)
+        one = RatFun.const(p, 1)
+        for u in (x, one - y + y.scale(1, 1)):
+            want = _outcome(lambda: poincare_reference(u))
+            got = _outcome(lambda: poincare_from_zeta(u, n).ratfun)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert (got._num, got._den, got.denom) == (want._num, want._den, want.denom)
+            assert u is x or got == one + y.scale(1, 1)
+            want = _outcome(lambda: counts_reference(got, n, 6))
+            assert _outcome(lambda: PoincareSeries(got, n, p).counts(6)) == want

@@ -264,6 +264,11 @@ def replay_passes(F, dec, k, cell, known):
     return tail_stays_above(shifted, known.e, known.root)
 
 
+def reuse_from(tail, w, cell, known):
+    """sqh's reuse index of one cell for the tail under the weights w."""
+    return sqh._reuse_from(sqh._tail_terms(tail, w), tail.ring, cell, known)
+
+
 def test_tail_replay_checks_every_node():
     # g = y^2+5x^2 on units x *: the root dilates y -> 5y with e_c = 1, and
     # the child x^2+5y^2 is a leaf
@@ -293,7 +298,7 @@ def test_tail_replay_checks_every_node():
     cell = ValuationCell((0, 0), 0)
     for text, k_star in [("5*x*y", 0), ("5*x^2", 1), ("x^2", 2)]:
         tail = parse(text, Z5, n_hint=2)
-        assert sqh._reuse_from(tail, w, cell, known) == k_star
+        assert reuse_from(tail, w, cell, known) == k_star
         scaled = tail
         for k in range(k_star + 3):
             assert tail_stays_above(scaled, 0, trace.root) == (k >= k_star)
@@ -315,7 +320,7 @@ def test_tail_replay_deeper_than_recursion_limit():
     known = sqh.CellIntegral({}, 0, trace.root)
     cell = ValuationCell((0, 0), 0)
     for a, k_star in [(5000, 0), (1201, 0), (1200, 1), (1000, 201)]:
-        assert sqh._reuse_from(parse(f"{3**a}*x*y", Z3), w, cell, known) == k_star
+        assert reuse_from(parse(f"{3**a}*x*y", Z3), w, cell, known) == k_star
         # the replay of the single monomial passes exactly from k_star on
         for k in {max(k_star - 1, 0), k_star}:
             tail = parse(f"{3**(a + k)}*x*y", Z3)
