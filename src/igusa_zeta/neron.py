@@ -30,11 +30,12 @@ class PointClassification:
     points of the region where the reduction does not vanish and smooth
     those where it vanishes to order one; singular lists the singular points
     c_U of the reduction on prod_{i in U} R_i in lexicographic order, so the
-    region's singular points are {c_U} x prod_{i not in U} R_i.  The counts
-    come from per-part value histograms (see classify_points), so a
-    reduction that splits into parts is never walked over all of
-    prod_{i in U} R_i.  total is p^n, so nu and sigma, the measures of the
-    first two sets, are nonzero/total and smooth/total.
+    region's singular points are {c_U} x prod_{i not in U} R_i.  A
+    reduction c x_i^k is classified in closed form; other counts come from
+    per-part value histograms (see classify_points), so a reduction that
+    splits into parts is never walked over all of prod_{i in U} R_i.  total
+    is p^n, so nu and sigma, the measures of the first two sets, are
+    nonzero/total and smooth/total.
     """
 
     __slots__ = ("nonzero", "smooth", "support", "singular", "fibre", "total")
@@ -94,11 +95,13 @@ def classify_points(
 
     Requires unit content (so the reduction is defined and nonzero).  Only
     the support U of the reduction is classified, and the counts are
-    multiplied by the fibre off U.  U splits into parts, two coordinates
-    sharing a part when some monomial uses both, so the reduction is
-    c + sum_P g_P with each g_P in the coordinates of P alone.  Each part
-    enumerates only its own product prod_{i in P} R_i and evaluates g_P
-    there, one monomial at a time from tables of x^k mod p.
+    multiplied by the fibre off U.  A reduction that is one univariate
+    monomial c x_i^k is classified in closed form (see _classify_monomial),
+    with no point enumerated.  Otherwise U splits into parts, two
+    coordinates sharing a part when some monomial uses both, so the
+    reduction is c + sum_P g_P with each g_P in the coordinates of P alone.
+    Each part enumerates only its own product prod_{i in P} R_i and
+    evaluates g_P there, one monomial at a time from tables of x^k mod p.
 
     The zeros are counted by convolving the value histograms of all parts
     but the largest mod p, shifted by c, and joining the largest part by
@@ -115,6 +118,9 @@ def classify_points(
     """
     p, n = region.p, region.n
     fbar = f.reduce_mod_pi()
+    used = [(i, k) for e in fbar.terms for i, k in enumerate(e) if k]
+    if len(fbar.terms) == 1 and len(used) == 1:
+        return _classify_monomial(region, *used[0], budget)
     parts = _split_into_parts(fbar)
     support = tuple(sorted(i for coords, _ in parts for i in coords))
     fibre = math.prod(len(region.allowed[i]) for i in range(n) if i not in support)
@@ -144,6 +150,27 @@ def classify_points(
         raise InvariantViolation("point classification does not partition the region")
     return PointClassification(
         (size - zeros) * fibre, (zeros - len(singular)) * fibre, support, singular, fibre, p**n,
+    )
+
+
+def _classify_monomial(region: ResidueRegion, i: int, k: int, budget: int) -> PointClassification:
+    """The classification of a reduction c x_i^k, c a unit, in closed form.
+
+    Its zeros are the points with x_i = 0: smooth when k = 1, singular when
+    k >= 2 (also when p divides k, which needs k >= 2).  The budget is
+    charged as the general path charges it: |R_i| for the one part, then
+    |R_i| + 1 when the zero is singular, so the same inputs fail with the
+    same message.
+    """
+    size = len(region.allowed[i])
+    fibre = math.prod(len(allowed) for j, allowed in enumerate(region.allowed) if j != i)
+    zero = 0 in region.allowed[i]
+    singular = [(0,)] if zero and k > 1 else []
+    _charge(size, budget)
+    _charge(size + len(singular), budget)
+    return PointClassification(
+        (size - zero) * fibre, fibre if zero and k == 1 else 0, (i,), singular, fibre,
+        region.p**region.n,
     )
 
 

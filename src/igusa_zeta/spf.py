@@ -13,13 +13,14 @@ The singular zero classes come as boxes.  Let U be the coordinates that
 occur in the reduction f-bar.  Off U the reduction does not see the residue,
 so the region's singular points are Sing_U x prod_{i not in U} R_i, where
 Sing_U is the singular set of f-bar on prod_{i in U} R_i (classify_points
-finds it part by part, without enumerating that product when f-bar is a sum
-of parts in disjoint coordinates).  Each c_U in Sing_U gets one dilatation
-x_i -> c_i + pi x_i (i in U, other coordinates unchanged), with scaling
-vector 1 on U and 0 off it, weight q^(-|U|) t^e, and a child region that is
-full on U and R_i off it.  Termination is guaranteed for regions bounded
-away from an isolated singularity, so the depth cap is a diagnostic for
-violated hypotheses rather than a tolerance.
+gives it in closed form when f-bar is one univariate monomial c x_i^k, and
+otherwise finds it part by part, without enumerating that product when
+f-bar is a sum of parts in disjoint coordinates).  Each c_U in Sing_U gets
+one dilatation x_i -> c_i + pi x_i (i in U, other coordinates unchanged),
+with scaling vector 1 on U and 0 off it, weight q^(-|U|) t^e, and a child
+region that is full on U and R_i off it.  Termination is guaranteed for
+regions bounded away from an isolated singularity, so the depth cap is a
+diagnostic for violated hypotheses rather than a tolerance.
 
 Unrolled, the value over a region is a finite sum over its tree.  A node
 with accumulated content E and S rescaled coordinates, on which a residue

@@ -26,28 +26,25 @@ alpha_i, the cell (i, a) is { v(x_j) >= alpha_j for the coordinates j
 before i, v(x_i) = a, later coordinates free }, 0 <= a < alpha_i.  Under
 x = pi^m o y, m_j = alpha_j before i, m_i = a and 0 after, it becomes the
 region with y_i a unit and Jacobian q^(-sum m).  Each complement integral is
-the sum over these cells, and most cells of an iterate need no fresh
-descent:
+the sum over these cells, and each cell goes through the engine (spf_tally
+on the cell's residue region) unless the iterate reuses the limit's record
+for it.
 
-* Reuse.  The limit f is evaluated first, keeping per cell its content e
-  (the pi-order of f(pi^m y)) and its dilatation tree.  Let T = F - f be
-  the tail, and let x_i -> C_i + pi^(M_i) x_i be the cell's and the nodes'
-  substitutions composed along the path to a node.  If T(C + pi^M x) has
-  content above e + E_accum(node) at every node, F's polynomial at each
-  node is f's plus a multiple of pi (by induction down the tree), so every
-  reduction, classification, singular centre and extracted content, hence
-  the whole tree and value, are f's, and the cell's record is reused
-  unchanged.  By Gauss's lemma each tail monomial's content there is read
-  off v(C_i) and M_i, and it grows by w(a) - d per scaling step, which
-  gives reuse_from (see _reuse_from).  No polynomial is substituted.
-* Closing.  If one monomial alone has the least level and uses only the
-  cell's unit coordinate x_i, |F|^s is t^low on the whole cell, which
-  closes as q^(-sum m) t^low times the cell region's measure, before any
-  substitution.
+Reuse.  The limit f is evaluated first, keeping per cell its content e (the
+pi-order of f(pi^m y)) and its dilatation tree.  Let T = F - f be the tail,
+and let x_i -> C_i + pi^(M_i) x_i be the cell's and the nodes' substitutions
+composed along the path to a node.  If T(C + pi^M x) has content above
+e + E_accum(node) at every node, F's polynomial at each node is f's plus a
+multiple of pi (by induction down the tree), so every reduction,
+classification, singular centre and extracted content, hence the whole tree
+and value, are f's, and the cell's record is reused unchanged.  By Gauss's
+lemma each tail monomial's content there is read off v(C_i) and M_i, and it
+grows by w(a) - d per scaling step, which gives reuse_from (see
+_reuse_from).  No polynomial is substituted.
 
-Reused and closed cells are counted in tree_stats and collected in the
-trees as engine calls, with the trees the engine would have built for them,
-so the statistics and the --trace export do not depend on the shortcuts.
+Reused cells are counted in tree_stats and collected in the trees as engine
+calls, with the limit's trees, so the statistics and the --trace export do
+not depend on the reuse.
 
 Cell values are kept as the engine's integer tallies (see the spf module),
 shifted per cell; a complement integral adds its cells' tallies and builds
@@ -217,39 +214,11 @@ class LimitCells:
         self.reuse_from = reuse_from
 
 
-def _valued_terms(F: MultiPoly) -> List[Tuple[Tuple[int, ...], int]]:
-    return [(e, c.valuation()) for e, c in F.terms.items()]
-
-
-def _levels(terms, cell: ValuationCell) -> List[Tuple[int, Tuple[int, ...]]]:
-    """(v(c) + <m, e>, e) per monomial: its pi-order after x = pi^m o y."""
-    return [(v + sum(a * k for a, k in zip(cell.m, e)), e) for e, v in terms]
-
-
-def _cell_integral(F: MultiPoly, terms, cell: ValuationCell, ctx: SpfContext) -> CellIntegral:
-    """F over one cell: closed from the exponents when it can be, else by the engine.
-
-    When a single monomial c y^e has the lowest level and uses only the
-    cell's unit coordinate y_i, F(pi^m y) = pi^low (c y^e + pi g) with c y^e
-    a unit on the cell, so |F|^s = t^low there and the integral is t^low
-    times the region's measure; the root node is the one the engine would
-    build.
-    """
-    p = F.ring.p
-    levels = _levels(terms, cell)
-    low = min(level for level, _ in levels)
-    lowest = [e for level, e in levels if level == low]
-    if len(lowest) == 1 and all(k == 0 or i == cell.unit for i, k in enumerate(lowest[0])):
-        region = cell.unit_region(p)
-        root = DilatationNode(
-            None, None, 0, 0, 0, 0, region.measure(), Fraction(0), 0, region.describe()
-        )
-        ctx.roots.append(root)
-        tally, e = {(0, F.n): (region.card(), 0)}, low
-    else:
-        e, _, f_cell, target = cell_change_of_variables(F, cell)
-        tally, root = spf_tally(f_cell, target, ctx)
-    return CellIntegral(tally_shift(tally, e, cell.depth_shift()), e, root)
+def _cell_integral(F: MultiPoly, cell: ValuationCell, ctx: SpfContext) -> CellIntegral:
+    """F over one cell: the engine on its residue region, times the cell's q^(-d) t^e."""
+    e, d, f_cell, target = cell_change_of_variables(F, cell)
+    tally, root = spf_tally(f_cell, target, ctx)
+    return CellIntegral(tally_shift(tally, e, d), e, root)
 
 
 def _tail_terms(tail: MultiPoly, w: WeightSystem) -> List[Tuple[Tuple[int, ...], int, int]]:
@@ -321,17 +290,16 @@ def _cell_integrals(
 ) -> Dict[ValuationCell, CellIntegral]:
     """F, the k-th iterate, over every complement cell, reusing the limit's where proven.
 
-    A limit cell is reused from its reuse_from on; the other cells are
-    closed or descended afresh.
+    A limit cell is reused from its reuse_from on; the other cells go
+    through the engine.
     """
-    terms = _valued_terms(F)
     out: Dict[ValuationCell, CellIntegral] = {}
     for cell in complement_cells(w.alpha):
         if limit is not None and k >= limit.reuse_from[cell]:
             out[cell] = limit.cells[cell]
             ctx.roots.append(out[cell].root)
         else:
-            out[cell] = _cell_integral(F, terms, cell, ctx)
+            out[cell] = _cell_integral(F, cell, ctx)
     return out
 
 
@@ -369,12 +337,11 @@ def zeta_on_complement(
 
     Assembled as the sum over the |alpha| cells that partition the
     complement, each rewritten onto a residue region and evaluated
-    recursively, unless it closes from the exponents (one lowest monomial in
-    the unit coordinate alone) or, with ``limit``, is reused from the limit.
-    Then F must be the k-th iterate of the polynomial whose decomposition
-    built ``limit``, and the cells with reuse_from <= k are reused.
-    Closed and reused cells join ctx's trees, and so its statistics, as
-    engine calls, with the trees the engine would build.  The result of each cell
+    recursively, unless, with ``limit``, it is reused from the limit.  Then
+    F must be the k-th iterate of the polynomial whose decomposition built
+    ``limit``, and the cells with reuse_from <= k are reused.  Reused cells
+    join ctx's trees, and so its statistics, as engine calls, with the
+    limit's trees.  The result of each cell
     has a single geometric denominator, so after cancellation the sum's
     denominator divides (1 - q^(-1) t); that is asserted.
     """
@@ -386,9 +353,9 @@ class SqhReport:
 
     pole_real_parts is sorted.  roots holds the dilatation tree of every
     complement cell of the limit and of each iterate, in that order; it is
-    left out of to_json.  Cells that were reused from the limit or closed
-    from the exponents are included, with the trees the engine would build,
-    and tree_stats counts them as engine calls.
+    left out of to_json.  Cells that were reused from the limit are
+    included, with the limit's trees, and tree_stats counts them as engine
+    calls.
     """
 
     __slots__ = (

@@ -11,6 +11,7 @@ from igusa_zeta import (
     ResidueRegion,
     classify_points,
     dilate,
+    neron,
     parse,
 )
 
@@ -205,9 +206,40 @@ def test_classify_parts_match_reference(p, positive_char):
             assert len(cls.singular) * cls.fibre == len(singular)
 
 
+@pytest.mark.parametrize("positive_char", [False, True])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_classify_univariate_monomials(p, positive_char, monkeypatch):
+    # reductions c x_i^k, closed without evaluating a part: k = p and p + 1
+    # give a singular zero with p | k and with k = 1 mod (p - 1); the other
+    # terms of f carry pi and drop out of the reduction
+    ring = LocalRing(p, positive_char=positive_char)
+    monkeypatch.setattr(neron, "_evaluate_part", None)
+    c, pi = ring.from_int(p - 1), ring.pi(1)
+    for n in (1, 3):
+        i = n - 1
+        regions = [
+            ResidueRegion.full(p, n),
+            ResidueRegion.product(p, [[0, p - 1]] * i + [[0, 1]]),
+            ResidueRegion.product(p, [[1]] * i + [range(1, p)]),
+            ResidueRegion.product(p, [range(p)] * i + [[0]]),
+        ]
+        for k in (1, 2, p, p + 1):
+            e = (0,) * i + (k,)
+            for f in (
+                MultiPoly(ring, n, {e: c}),
+                MultiPoly(ring, n, {e: c, (k + 1,) * n: pi, (0,) * n: pi}),
+            ):
+                for region in regions:
+                    assert_matches_reference(f, region)
+
+
 def test_classify_budget():
     with pytest.raises(BudgetExceeded):
         classify_points(parse("x", Z5), ResidueRegion.full(5, 1), budget=3)
+    # x^2 charges its 5 points, then one more for the singular zero's join
+    with pytest.raises(BudgetExceeded, match="takes 6 steps"):
+        classify_points(parse("x^2", Z5), ResidueRegion.full(5, 1), budget=5)
+    assert classify_points(parse("x^2", Z5), ResidueRegion.full(5, 1), budget=6).singular == [(0,)]
 
 
 def test_dilate_examples():
