@@ -8,7 +8,7 @@ supported (prime residue field).  The check command cross-validates a
 result against exhaustive congruence counting through the Poincare series.
 """
 
-from .coeff import Lifting, LocalRing, LocalRingElement
+from .coeff import LocalRing, LocalRingElement
 from .errors import (
     BudgetExceeded,
     DepthExceeded,
@@ -57,7 +57,6 @@ __all__ = [
     "InvalidHint",
     "InvalidParameters",
     "InvariantViolation",
-    "Lifting",
     "LocalRing",
     "LocalRingElement",
     "MultiPoly",

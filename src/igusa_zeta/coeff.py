@@ -16,7 +16,7 @@ Both representations are exact; nothing in this package is floating point.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional, Tuple, Union
+from typing import Tuple, Union
 
 from .errors import InsufficientValuation
 
@@ -274,29 +274,3 @@ class LocalRingElement:
     def to_json(self):
         """Integer in char 0, digit list in char p."""
         return list(self.payload) if self.ring.positive_char else self.payload
-
-
-class Lifting:
-    """A fixed set of representatives of F_p inside O_K.
-
-    The canonical choice is {0, ..., p-1} in characteristic 0 and the
-    constant polynomials in characteristic p.  Any bijective table of
-    representatives is accepted; the computed zeta function cannot depend on
-    the choice (it is an integral), which the test suite verifies.
-    """
-
-    def __init__(self, ring: LocalRing, table: Optional[Mapping[int, LocalRingElement]] = None):
-        self.ring = ring
-        if table is None:
-            table = {a: ring.from_int(a) for a in range(ring.p)}
-        else:
-            table = dict(table)
-            if sorted(table) != list(range(ring.p)):
-                raise ValueError("lifting table must cover F_p exactly")
-            for a, x in table.items():
-                if x.ring != ring or x.reduce() != a:
-                    raise ValueError(f"table entry for {a} does not reduce to {a}")
-        self.table = table
-
-    def __getitem__(self, a: int) -> LocalRingElement:
-        return self.table[a % self.ring.p]

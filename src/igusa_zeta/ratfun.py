@@ -354,15 +354,17 @@ class RatFun:
             sign = "-" if c < 0 else ""
             return f"{sign}\\tfrac{{{abs(c.numerator)}}}{{{c.denominator}}}"
 
+        def tpow(i: int) -> str:
+            return "" if i == 0 else ("t" if i == 1 else f"t^{{{i}}}")
+
         parts = []
         for i, c in enumerate(self.num):
             if c == 0:
                 continue
-            tpow = "" if i == 0 else ("t" if i == 1 else f"t^{{{i}}}")
             coef = frac(c) if (i == 0 or abs(c) != 1) else ("-" if c == -1 else "")
-            parts.append(f"{coef}{tpow}")
+            parts.append(f"{coef}{tpow(i)}")
         num = " + ".join(parts).replace("+ -", "- ")
         if not self.denom:
             return num
-        den = "".join(f"\\left(1 - {self.p}^{{-{f.a}}} t^{{{f.b}}}\\right)" for f in self.denom)
+        den = "".join(f"\\left(1 - {self.p}^{{-{f.a}}} {tpow(f.b)}\\right)" for f in self.denom)
         return f"\\frac{{{num}}}{{{den}}}"

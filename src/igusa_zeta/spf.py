@@ -17,10 +17,11 @@ gives it in closed form when f-bar is one univariate monomial c x_i^k, and
 otherwise finds it part by part, without enumerating that product when
 f-bar is a sum of parts in disjoint coordinates).  Each c_U in Sing_U gets
 one dilatation x_i -> c_i + pi x_i (i in U, other coordinates unchanged),
-with scaling vector 1 on U and 0 off it, weight q^(-|U|) t^e, and a child
-region that is full on U and R_i off it.  Termination is guaranteed for
-regions bounded away from an isolated singularity, so the depth cap is a
-diagnostic for violated hypotheses rather than a tolerance.
+c_i the canonical lift ring.from_int of the residue, with scaling vector 1
+on U and 0 off it, weight q^(-|U|) t^e, and a child region that is full on
+U and R_i off it.  Termination is guaranteed for regions bounded away from
+an isolated singularity, so the depth cap is a diagnostic for violated
+hypotheses rather than a tolerance.
 
 Unrolled, the value over a region is a finite sum over its tree.  A node
 with accumulated content E and S rescaled coordinates, on which a residue
@@ -42,7 +43,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import analysis
-from .coeff import DEFAULT_BUDGET, Lifting
+from .coeff import DEFAULT_BUDGET
 from .errors import DepthExceeded, ZeroPolynomial
 from .neron import DilatationNode, classify_points, dilate
 from .poly import MultiPoly
@@ -61,16 +62,13 @@ class SpfConfig:
     driver's iteration needs no cap: sqh bounds it by the reuse lemma.
     """
 
-    __slots__ = ("max_depth", "budget", "lifting")
+    __slots__ = ("max_depth", "budget")
 
-    def __init__(
-        self, max_depth: int = 64, budget: int = DEFAULT_BUDGET, lifting: Optional[Lifting] = None
-    ):
+    def __init__(self, max_depth: int = 64, budget: int = DEFAULT_BUDGET):
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         self.max_depth = max_depth
         self.budget = budget
-        self.lifting = lifting
 
 
 class SpfTrace:
@@ -181,7 +179,6 @@ def _spf(
     """
     cfg = ctx.cfg
     p, n = f.ring.p, f.n
-    lifting = cfg.lifting
     top: List[DilatationNode] = []
     # (siblings, parent polynomial, region, depth, parent E_accum, S_accum, centre, scaling)
     stack = [(top, f, region, 0, 0, 0, None, None)]
@@ -200,7 +197,6 @@ def _spf(
         )
         siblings.append(node)
         if cls.singular:
-            lifting = lifting or Lifting(f.ring)
             support = cls.support
             zero = f.ring.zero()
             # x_i = c_i + pi y_i on U maps the child region onto the singular
@@ -211,7 +207,7 @@ def _spf(
             )
             for point in reversed(cls.singular):
                 c_u = dict(zip(support, point))
-                c_box = tuple(lifting[c_u[i]] if i in c_u else zero for i in range(n))
+                c_box = tuple(f.ring.from_int(c_u[i]) if i in c_u else zero for i in range(n))
                 stack.append((
                     node.children, f, child_region, depth + 1, e_accum, s_accum + len(support),
                     c_box, scaling,

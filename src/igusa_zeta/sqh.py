@@ -37,10 +37,12 @@ composed along the path to a node.  If T(C + pi^M x) has content above
 e + E_accum(node) at every node, F's polynomial at each node is f's plus a
 multiple of pi (by induction down the tree), so every reduction,
 classification, singular centre and extracted content, hence the whole tree
-and value, are f's, and the cell's record is reused unchanged.  By Gauss's
-lemma each tail monomial's content there is read off v(C_i) and M_i, and it
-grows by w(a) - d per scaling step, which gives reuse_from (see
-_reuse_from).  No polynomial is substituted.
+and value, are f's, and the cell's record is reused unchanged.  The
+centres are canonical lifts, so min(v(C_i), M_i) is the M_i at the first
+node with a nonzero centre in coordinate i, and M_i before it.  By Gauss's
+lemma each tail monomial's content there is read off these, and it grows by
+w(a) - d per scaling step, which gives reuse_from (see _reuse_from).  No
+polynomial is substituted.
 
 Reused cells are counted in tree_stats and collected in the trees as engine
 calls, with the limit's trees, so the statistics and the --trace export do
@@ -61,7 +63,6 @@ from math import gcd
 from operator import add, mul
 from typing import Dict, List, Optional, Tuple
 
-from .coeff import INFINITY, LocalRing
 from .errors import (
     InvalidHint,
     InvariantViolation,
@@ -227,10 +228,7 @@ def _tail_terms(tail: MultiPoly, w: WeightSystem) -> List[Tuple[Tuple[int, ...],
 
 
 def _reuse_from(
-    terms: List[Tuple[Tuple[int, ...], int, int]],
-    ring: LocalRing,
-    cell: ValuationCell,
-    known: CellIntegral,
+    terms: List[Tuple[Tuple[int, ...], int, int]], cell: ValuationCell, known: CellIntegral
 ) -> int:
     """The least k >= 0 from which the k-th iterate reuses the limit's integral over the cell.
 
@@ -239,45 +237,38 @@ def _reuse_from(
     with centre c and scaling m' adds pi^(M_i) c_i to C_i and m'_i to M_i.
     After k scaling steps a tail monomial c_a x^a is c_a pi^(k (w(a) - d)) x^a,
     so by Gauss's lemma its content at the node is
-    v(c_a) + sum_i a_i min(v(C_i), M_i) + k (w(a) - d).  The reuse lemma of
-    the module docs holds at the node once every monomial's content exceeds
-    e + E_accum(node), and then at every later k too.  ``terms`` is the
-    tail's _tail_terms, built once per decomposition, and ``ring`` its
-    ring.  The tree is walked on an explicit stack; a zero tail is reused
-    from k = 0 without a walk.
+    v(c_a) + sum_i a_i mu_i + k (w(a) - d) with mu_i = min(v(C_i), M_i).
+    The reuse lemma of the module docs holds at the node once every
+    monomial's content exceeds e + E_accum(node), and then at every later k
+    too.  ``terms`` is the tail's _tail_terms, built once per decomposition.
+    The tree is walked on an explicit stack; a zero tail is reused from
+    k = 0 without a walk.
 
-    The walk carries v(C_i), not C_i: adding pi^(M_i) c_i makes it the
-    smaller of v(C_i) and M_i + v(c_i) unless the two tie, and only then can
-    the sum cancel.  A tie needs v(C_i) >= M_i, and once v(C_i) < M_i every
-    later term lies deeper, so the element C_i is kept, and a sum formed,
-    only while v(C_i) >= M_i; past that it is None.
+    The walk carries per coordinate only V_i, the M_i at the first node
+    whose centre is nonzero in coordinate i (None before it), and takes
+    mu_i = M_i if V_i is None else V_i.  That is exact because the centres
+    are canonical lifts (see spf): a nonzero c_i lifts a residue in
+    [1, p), so it is a unit, and it occurs only where the node scales
+    coordinate i by 1.  So the terms pi^(M_i) c_i of C_i have valuation the
+    M_i at which they are added, and M_i grows by 1 past each of them: the
+    digits of C_i sit at distinct positions below M_i, no two terms tie or
+    cancel, v(C_i) = V_i, and V_i <= M_i.
     """
     if not terms:
         return 0
     k_star = 0
-    n = len(cell.m)
-    stack = [(known.root, (INFINITY,) * n, (ring.zero(),) * n, cell.m)]
+    stack = [(known.root, (None,) * len(cell.m), cell.m)]
     while stack:
-        node, V, C, M = stack.pop()
-        mu = [min(v, m) for v, m in zip(V, M)]
+        node, V, M = stack.pop()
+        mu = [m if v is None else v for v, m in zip(V, M)]
         floor = known.e + node.E_accum + 1
         for a, v, slope in terms:
             k_star = max(k_star, (floor - v - sum(map(mul, a, mu)) + slope - 1) // slope)
         for child in node.children:
-            M_child = tuple(map(add, M, child.m))
-            V_child, C_child = [], []
-            for v, c, x, m, m_child in zip(V, C, child.center, M, M_child):
-                if not x.is_zero():
-                    v_term = m + x.valuation()
-                    if v_term == v:
-                        c = c + x.times_pi(m)
-                        v = c.valuation()
-                    else:
-                        v = min(v, v_term)
-                        c = c + x.times_pi(m) if v >= m_child else None
-                V_child.append(v)
-                C_child.append(c)
-            stack.append((child, V_child, C_child, M_child))
+            V_child = tuple(
+                m if v is None and not c.is_zero() else v for v, c, m in zip(V, child.center, M)
+            )
+            stack.append((child, V_child, tuple(map(add, M, child.m))))
     return k_star
 
 
@@ -304,17 +295,12 @@ def _cell_integrals(
 
 
 def _complement_sum(p: int, cells: Dict[ValuationCell, CellIntegral]) -> RatFun:
-    """The sum over the partition, one RatFun; its denominator must divide (1 - q^(-1) t)."""
+    """The sum over the partition, one RatFun over (1 - q^(-1) t) (see spf.tally_ratfun)."""
     merged: Tally = {}
     for integral in cells.values():
         for key, (a, b) in integral.value.items():
             tally_add(merged, key, a, b)
-    total = tally_ratfun(p, merged)
-    if not set(total.denom) <= {DenomFactor(1, 1)} or len(total.denom) > 1:
-        raise InvariantViolation(
-            f"complement integral has unexpected denominator {total.denom}"
-        )
-    return total
+    return tally_ratfun(p, merged)
 
 
 def limit_cells(dec: SqhDecomposition, ctx: Optional[SpfContext] = None) -> LimitCells:
@@ -322,7 +308,7 @@ def limit_cells(dec: SqhDecomposition, ctx: Optional[SpfContext] = None) -> Limi
     w = dec.weights
     cells = _cell_integrals(dec.quasi, w, ctx or SpfContext())
     terms = _tail_terms(dec.tail, w)
-    reuse = {cell: _reuse_from(terms, dec.tail.ring, cell, known) for cell, known in cells.items()}
+    reuse = {cell: _reuse_from(terms, cell, known) for cell, known in cells.items()}
     return LimitCells(cells, reuse)
 
 
@@ -341,9 +327,8 @@ def zeta_on_complement(
     F must be the k-th iterate of the polynomial whose decomposition built
     ``limit``, and the cells with reuse_from <= k are reused.  Reused cells
     join ctx's trees, and so its statistics, as engine calls, with the
-    limit's trees.  The result of each cell
-    has a single geometric denominator, so after cancellation the sum's
-    denominator divides (1 - q^(-1) t); that is asserted.
+    limit's trees.  The cells' tallies add up to one tally, whose RatFun
+    has denominator dividing (1 - q^(-1) t).
     """
     return _complement_sum(F.ring.p, _cell_integrals(F, w, ctx or SpfContext(), limit, k))
 

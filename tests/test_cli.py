@@ -50,6 +50,14 @@ def test_compute_json_roundtrip(capsys):
 def test_compute_latex(capsys):
     code, out, _ = run(capsys, "compute", "x", "--prime", "3", "--format", "latex")
     assert code == 0 and "\\frac" in out
+    # t, not t^{1}, in the denominator as in the numerator
+    code, out, _ = run(capsys, "compute", "x^2+y^3", "--prime", "5", "--format", "latex")
+    assert code == 0
+    assert out == (
+        "Z(f,s) = \\frac{\\tfrac{4}{5} - \\tfrac{4}{125}t + \\tfrac{4}{125}t^{2}"
+        " - \\tfrac{4}{15625}t^{5}}"
+        "{\\left(1 - 5^{-1} t\\right)\\left(1 - 5^{-5} t^{6}\\right)}\n"
+    )
 
 
 def test_compute_constant_term_routes_to_spf(capsys):

@@ -6,7 +6,6 @@ import pytest
 from igusa_zeta import (
     BudgetExceeded,
     InsufficientValuation,
-    Lifting,
     LocalRing,
     MultiPoly,
     ResidueRegion,
@@ -102,23 +101,12 @@ def test_enumerate_points():
 
 
 def test_reduce_and_lift():
-    lifting = Lifting(Z5)
-    for a in range(5):
-        assert lifting[a].reduce() == a
-    lifting_p = Lifting(F5PI)
-    for a in range(5):
-        assert lifting_p[a].reduce() == a
-    # lift of a unit reduces back after adding multiples of pi
-    x = Z5.from_int(7)
-    assert lifting[x.reduce()].payload == 2
-
-
-def test_alternative_lifting_validation():
-    table = {a: Z5.from_int(a + 5 * a) for a in range(5)}
-    Lifting(Z5, table)
-    bad = {a: Z5.from_int(a + 1) for a in range(5)}
-    with pytest.raises(ValueError):
-        Lifting(Z5, bad)
+    # the canonical lift of a residue reduces back to it
+    for ring in (Z5, F5PI):
+        for a in range(5):
+            assert ring.from_int(a).reduce() == a
+    # adding multiples of pi does not change the residue
+    assert Z5.from_int(7).reduce() == 2
 
 
 @pytest.mark.parametrize("ring", [Z5, Z3, F3PI, F5PI])

@@ -6,7 +6,6 @@ import pytest
 from igusa_zeta import (
     DenomFactor,
     DepthExceeded,
-    Lifting,
     LocalRing,
     MultiPoly,
     RatFun,
@@ -283,17 +282,6 @@ def test_pinned_zeta(text, ring, zeta):
     # of every iterate through the engine
     Z, _ = zeta_semiquasihomogeneous(parse(text, ring))
     assert Z == RatFun.from_json(zeta, ring.p)
-
-
-def test_result_independent_of_lifting():
-    # representatives a + 5a of a in F_5 form another valid lifting
-    table = {a: Z5.from_int(a + 5 * a) for a in range(5)}
-    custom = SpfConfig(lifting=Lifting(Z5, table))
-    f = parse("x^2+y^3", Z5)
-    region = ResidueRegion.product(5, [frozenset(range(5)), frozenset(range(1, 5))])
-    default_val, _ = spf_zeta(f, region)
-    custom_val, _ = spf_zeta(f, region, custom)
-    assert default_val == custom_val
 
 
 def test_charp_smooth_zero():

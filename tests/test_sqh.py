@@ -1,7 +1,10 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from igusa_zeta import (
     DenomFactor,
@@ -24,8 +27,7 @@ from igusa_zeta import (
     zeta_semiquasihomogeneous,
 )
 from igusa_zeta import sqh
-from igusa_zeta.coeff import Lifting
-from igusa_zeta.poly import MultiPoly
+from igusa_zeta.poly import MultiPoly, weighted_degree
 from igusa_zeta.region import ValuationCell, cell_change_of_variables, complement_cells
 from igusa_zeta.spf import SpfContext, tally_ratfun
 
@@ -266,7 +268,7 @@ def replay_passes(F, dec, k, cell, known):
 
 def reuse_from(tail, w, cell, known):
     """sqh's reuse index of one cell for the tail under the weights w."""
-    return sqh._reuse_from(sqh._tail_terms(tail, w), tail.ring, cell, known)
+    return sqh._reuse_from(sqh._tail_terms(tail, w), cell, known)
 
 
 def test_tail_replay_checks_every_node():
@@ -327,32 +329,84 @@ def test_tail_replay_deeper_than_recursion_limit():
             assert tail_stays_above(tail, 0, trace.root) == (k >= k_star)
 
 
-ZERO_TO_P = {
-    ring: Lifting(ring, {a: ring.from_int(a) if a else ring.pi() for a in range(ring.p)})
-    for ring in (Z3, Z5, F5PI)
-}
 # deep chains, and x^3+y^3 whose singular classes (1, 2), (2, 1) put v(C_i) below M_i
 TAILS = [(f"x^2+{3**a}*y^3+x*y^3", Z3) for a in (1, 5, 20)] + [("x^3+y^3+x^2*y^2", Z3)]
 REPLAY_INPUTS = [
-    pytest.param(text, ring, lifting, id=f"{text}-{ring.p}{'u' * ring.positive_char}-{name}")
+    pytest.param(text, ring, id=f"{text}-{ring.p}{'u' * ring.positive_char}-default")
     for text, ring in list(FRESH_CALLS) + TAILS
-    for name, lifting in [("default", None), ("zero-to-pi", ZERO_TO_P[ring])]
 ]
 
 
-@pytest.mark.parametrize("text, ring, lifting", REPLAY_INPUTS)
-def test_reuse_from_against_the_replay(text, ring, lifting):
-    # the reference replay passes at every k >= reuse_from, and a tail of one
-    # monomial fails at reuse_from - 1: Gauss's lemma gives its content
-    # exactly.  Lifting 0 to p makes the centres' sums C_i nonzero.
-    F = parse(text, ring)
-    dec = detect_weights(F)
-    limit = limit_cells(dec, SpfContext(SpfConfig(lifting=lifting)))
+def assert_reuse_index_is_exact(F, dec):
+    """The reference replay passes at every k >= reuse_from, and a tail of one
+    monomial fails at reuse_from - 1: Gauss's lemma gives its content exactly."""
+    limit = limit_cells(dec)
     for cell, known in limit.cells.items():
         k_star = limit.reuse_from[cell]
         assert all(replay_passes(F, dec, k, cell, known) for k in range(k_star, k_star + 3))
         if k_star and len(dec.tail.terms) == 1:
             assert not replay_passes(F, dec, k_star - 1, cell, known)
+
+
+@pytest.mark.parametrize("text, ring", REPLAY_INPUTS)
+def test_reuse_from_against_the_replay(text, ring):
+    F = parse(text, ring)
+    assert_reuse_index_is_exact(F, detect_weights(F))
+
+
+# inputs over Q_p whose limit trees have a nonzero centre, which no input of
+# the benchmark's workloads has
+NONZERO_CENTRES = [("x^2+y^2+z^3+x*y*z", 2), ("x^2+y^2+x*y^2", 2), ("x^3+y^3+x^2*y^2", 3)]
+
+
+@pytest.mark.parametrize("text, p", NONZERO_CENTRES)
+def test_limit_trees_have_nonzero_centres(text, p):
+    limit = limit_cells(detect_weights(parse(text, LocalRing(p))))
+    centres = [
+        c for known in limit.cells.values() for node in known.root.walk()
+        if node.center is not None for c in node.center
+    ]
+    assert any(not c.is_zero() for c in centres)
+
+
+@st.composite
+def tailed_parts(draw):
+    """(F, w): a part sum c_i x_i^(a_i) of unit coefficients plus a tail above its weight.
+
+    p is 2 or 3 in either characteristic, n is 2 or 3 and 2 <= a_i <= 4, so
+    w = (alpha, d) with d = lcm(a) and alpha_i = d / a_i.  In characteristic
+    p at most one a_i is a multiple of p, which keeps the part's singularity
+    at the origin isolated.  The tail has one to three monomials of weighted
+    degree above d, each a unit times pi^v, v <= 3.
+    """
+    p = draw(st.sampled_from([2, 3]))
+    positive_char = draw(st.booleans())
+    n = draw(st.integers(2, 3))
+    ring = LocalRing(p, positive_char=positive_char)
+    exps = draw(st.lists(st.integers(2, 4), min_size=n, max_size=n).filter(
+        lambda a: not positive_char or sum(x % p == 0 for x in a) <= 1))
+    d = math.lcm(*exps)
+    alpha = tuple(d // a for a in exps)
+    unit = st.integers(1, p - 1).map(ring.from_int)
+    terms = {tuple(a if j == i else 0 for j in range(n)): draw(unit) for i, a in enumerate(exps)}
+    above = st.tuples(*[st.integers(0, 4)] * n).filter(lambda e: weighted_degree(e, alpha) > d)
+    for e in draw(st.lists(above, min_size=1, max_size=3, unique=True)):
+        terms[e] = draw(unit) * ring.pi(draw(st.integers(0, 3)))
+    return MultiPoly(ring, n, terms), WeightSystem(alpha, d)
+
+
+def _nonzero_centre_example(text, p):
+    return example((parse(text, LocalRing(p)), None))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tailed_parts())
+@_nonzero_centre_example(*NONZERO_CENTRES[0])
+@_nonzero_centre_example(*NONZERO_CENTRES[1])
+@_nonzero_centre_example(*NONZERO_CENTRES[2])
+def test_reuse_from_against_the_replay_property(case):
+    F, w = case
+    assert_reuse_index_is_exact(F, detect_weights(F, w))
 
 
 @pytest.mark.parametrize("text, ring", list(FRESH_CALLS))
