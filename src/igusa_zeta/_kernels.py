@@ -48,10 +48,9 @@ object.
 
 Callers pass plain Python data, so that numpy is imported with this module
 only: one exponent tuple per term, and per term a Python int
-(characteristic 0) or a list of pi-adic digits (characteristic p).  The
-optional ``allowed`` residue sets restrict points by their reduction
-(coordinate i reduces into allowed[i]); they are the digit sets T_i of level
-1 only, because every lift keeps its reduction.
+(characteristic 0) or a list of pi-adic digits (characteristic p).  Points
+range over all of (O/pi^j)^n, so every digit set T_i is F_p and the grid's
+slices are the same at every level.
 """
 
 from __future__ import annotations
@@ -71,9 +70,9 @@ _INT64_SAFE = isqrt(np.iinfo(np.int64).max)
 
 
 def lift_counts(
-    terms, coeffs, n: int, p: int, levels: int, positive_char: bool, allowed, budget: int
+    terms, coeffs, n: int, p: int, levels: int, positive_char: bool, budget: int
 ) -> List[int]:
-    """N_0..N_levels (N_0 = 1), restricted to the allowed residues if given.
+    """N_0..N_levels (N_0 = 1).
 
     Level j evaluates f on the grid of each slice's lift tables and keeps
     the candidates where it vanishes mod pi^j as the next survivors:
@@ -91,16 +90,12 @@ def lift_counts(
     if size > budget:
         raise BudgetExceeded(f"level 1: {p}^{n} lifting candidates exceed budget {budget}")
     ring = _Lanes(terms, coeffs, n, p, levels) if positive_char else _Residues(coeffs, n, p)
-    every = np.arange(p, dtype=np.int64)
-    first = [every] * n
-    if allowed is not None:
-        first = [np.array(sorted(r), dtype=np.int64) for r in allowed]
+    parts = _grid_slices([np.arange(p, dtype=np.int64)] * n, _SLICE)
     chunks = [ring.start]
     step = max(1, _SLICE // size)
     counts = [1]
     for j in range(1, levels + 1):
         ring.level(j)
-        parts = _grid_slices(first if j == 1 else [every] * n, _SLICE)
         found, survivors = 0, []
         for chunk in chunks:
             for lo in range(0, len(chunk), step):

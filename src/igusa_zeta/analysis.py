@@ -1,31 +1,26 @@
 """Congruence counting, Poincare series and closed forms.
 
-This module is the verification side of the package: an exhaustive solution
-counter independent of the recursive engine, the Poincare-series bridge
-between counts and zeta values, and a closed-form generator for two-term curves a*x^n + b*y^m that shares no code
-with the engine path.
+This module is the verification side of the package: an exhaustive counter
+of the solutions in (O/pi^j)^n, independent of the recursive engine, the
+Poincare-series bridge between counts and zeta values, and a closed-form
+generator for two-term curves a*x^n + b*y^m that shares no code with the
+engine path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .coeff import DEFAULT_BUDGET, LocalRing, LocalRingElement
 from .errors import InvalidParameters, InvariantViolation
 from .poly import MultiPoly
 from .ratfun import DenomFactor, RatFun
-from .region import ResidueRegion
 
 
-def solution_counts(
-    f: MultiPoly,
-    levels: int,
-    region: Optional[ResidueRegion] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> List[int]:
-    """N_0..N_levels: solutions of f = 0 mod pi^j with reduction in the region; N_0 = 1.
+def solution_counts(f: MultiPoly, levels: int, budget: int = DEFAULT_BUDGET) -> List[int]:
+    """N_0..N_levels: solutions in (O/pi^j)^n of f = 0 mod pi^j; N_0 = 1.
 
     One lifting pass counts every level.  ``budget`` caps the lifting
     candidates N_(j-1) p^n of each level (BudgetExceeded beyond it).
@@ -38,25 +33,17 @@ def solution_counts(
     ring = f.ring
     terms = sorted(f.terms)
     coeffs = [f.terms[e].payload for e in terms]
-    allowed = None if region is None or region.is_full() else region.allowed
-    return _kernels.lift_counts(
-        terms, coeffs, f.n, ring.p, levels, ring.positive_char, allowed, budget
-    )
+    return _kernels.lift_counts(terms, coeffs, f.n, ring.p, levels, ring.positive_char, budget)
 
 
-def congruence_count(
-    f: MultiPoly,
-    j: int,
-    region: Optional[ResidueRegion] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> int:
-    """Number of x in (O/pi^j)^n with f(x) = 0 mod pi^j and reduction in the region."""
-    return solution_counts(f, j, region, budget)[j]
+def congruence_count(f: MultiPoly, j: int, budget: int = DEFAULT_BUDGET) -> int:
+    """Number of x in (O/pi^j)^n with f(x) = 0 mod pi^j."""
+    return solution_counts(f, j, budget)[j]
 
 
 def oracle_counts(f: MultiPoly, j_max: int, budget: int = DEFAULT_BUDGET) -> List[int]:
     """Exhaustive counts N_0..N_jmax of solutions mod pi^j; N_0 = 1."""
-    return solution_counts(f, j_max, None, budget)
+    return solution_counts(f, j_max, budget)
 
 
 class PoincareSeries:

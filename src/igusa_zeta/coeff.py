@@ -166,7 +166,9 @@ class LocalRingElement:
         return self.payload % self.ring.p
 
     def divide_by_uniformizer(self, k: int) -> "LocalRingElement":
-        """The exact quotient by pi^k; requires valuation >= k."""
+        """The exact quotient by pi^k (k >= 0); requires valuation >= k."""
+        if k < 0:
+            raise ValueError("negative uniformizer power")
         if k == 0 or self.is_zero():
             return self
         if self.ring.positive_char:
@@ -180,6 +182,8 @@ class LocalRingElement:
 
     def times_pi(self, k: int) -> "LocalRingElement":
         """pi^k times the element (k >= 0): p^k in char 0, k zero digits in char p."""
+        if k < 0:
+            raise ValueError("negative uniformizer power")
         if k == 0 or self.is_zero():
             return self
         if self.ring.positive_char:

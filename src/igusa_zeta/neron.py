@@ -123,8 +123,9 @@ def classify_points(
         return _classify_monomial(region, *used[0], budget)
     parts = _split_into_parts(fbar)
     support = tuple(sorted(i for coords, _ in parts for i in coords))
-    fibre = math.prod(len(region.allowed[i]) for i in range(n) if i not in support)
-    sizes = [math.prod(len(region.allowed[i]) for i in coords) for coords, _ in parts]
+    sizes = [math.prod(len(region.residues(i)) for i in coords) for coords, _ in parts]
+    size = math.prod(sizes)
+    fibre = region.card() // size
     spent = sum(sizes) + max(len(parts) - 2, 0) * p * p
     _charge(spent, budget)
     # the largest part comes last: it is joined by lookup
@@ -145,7 +146,6 @@ def classify_points(
     singular = (
         _join(others, last, last_critical, constant, spent, budget, p) if last_critical else []
     )
-    size = math.prod(sizes)
     if not len(singular) <= zeros <= size:
         raise InvariantViolation("point classification does not partition the region")
     return PointClassification(
@@ -162,9 +162,9 @@ def _classify_monomial(region: ResidueRegion, i: int, k: int, budget: int) -> Po
     |R_i| + 1 when the zero is singular, so the same inputs fail with the
     same message.
     """
-    size = len(region.allowed[i])
-    fibre = math.prod(len(allowed) for j, allowed in enumerate(region.allowed) if j != i)
-    zero = 0 in region.allowed[i]
+    size = len(region.residues(i))
+    fibre = region.card() // size
+    zero = i not in region.units
     singular = [(0,)] if zero and k > 1 else []
     _charge(size, budget)
     _charge(size + len(singular), budget)
@@ -226,7 +226,7 @@ def _split_into_parts(fbar: ResiduePoly) -> List[Tuple[Tuple[int, ...], list]]:
 
 
 def _evaluate_part(coords, terms, region: ResidueRegion) -> Part:
-    points = list(itertools.product(*(sorted(region.allowed[i]) for i in coords)))
+    points = list(itertools.product(*(region.residues(i) for i in coords)))
     return Part(coords, terms, points, _evaluate_at(terms, coords, points, region.p))
 
 

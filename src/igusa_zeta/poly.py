@@ -112,6 +112,8 @@ class MultiPoly:
         return min(c.valuation() for c in self.terms.values())
 
     def divide_by_uniformizer(self, k: int) -> "MultiPoly":
+        if k < 0:
+            raise ValueError("negative uniformizer power")
         if k == 0:
             return self
         return MultiPoly(
@@ -171,6 +173,19 @@ class MultiPoly:
             for exps, v in partial.items():
                 self._merge(acc, exps, v)
         return MultiPoly(ring, self.n, acc)
+
+    def rescale(self, m: Sequence[int], k: int) -> "MultiPoly":
+        """pi^(-k) f(pi^{m_1} x_1, ..., pi^{m_n} x_n), built in one pass.
+
+        The term c x^a becomes c pi^(<m, a> - k) x^a: a pi-shift up, or an
+        exact division that raises InsufficientValuation when c has
+        valuation below k - <m, a>.
+        """
+        terms: Dict[Exponents, LocalRingElement] = {}
+        for a, c in self.terms.items():
+            shift = weighted_degree(a, m) - k
+            terms[a] = c.times_pi(shift) if shift >= 0 else c.divide_by_uniformizer(-shift)
+        return MultiPoly(self.ring, self.n, terms)
 
     # -- rendering -------------------------------------------------------------
 

@@ -3,7 +3,8 @@
 Three kinds of sets appear in the computation:
 
 * residue regions: preimages under reduction mod pi of products
-  R_1 x ... x R_n of subsets of F_p (every region the engine meets is one);
+  R_1 x ... x R_n with each R_i either F_p or F_p^* (every region the
+  engine meets is one);
 * polydiscs A_r = { v(x_i) >= r_i };
 * valuation cells { v(x_j) >= m_j for all j, v(x_i) = m_i }, sum(r) of
   which partition the complement of a polydisc.
@@ -15,61 +16,39 @@ on coordinate i), which is what the recursive engine consumes.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, List, Tuple
 
-from .poly import MultiPoly
+from .errors import ZeroPolynomial
+from .poly import MultiPoly, weighted_degree
 
 
 class ResidueRegion:
-    """Preimage in O_K^n of a product prod_i R_i of subsets of F_p."""
+    """Preimage in O_K^n of prod_i R_i, R_i = F_p^* for i in units and F_p otherwise."""
 
-    __slots__ = ("p", "n", "allowed")
+    __slots__ = ("p", "n", "units")
 
-    def __init__(self, p: int, n: int, allowed: Tuple[FrozenSet[int], ...]):
-        if len(allowed) != n:
-            raise ValueError("allowed sets length mismatch")
+    def __init__(self, p: int, n: int, units: FrozenSet[int]):
+        if not all(0 <= i < n for i in units):
+            raise ValueError("unit coordinates outside [0, n)")
         self.p = p
         self.n = n
-        self.allowed = allowed
+        self.units = frozenset(units)
 
     @classmethod
     def full(cls, p: int, n: int) -> "ResidueRegion":
-        return cls.product(p, [frozenset(range(p))] * n)
+        return cls(p, n, frozenset())
 
-    @classmethod
-    def product(cls, p: int, allowed: Sequence) -> "ResidueRegion":
-        sets = tuple(frozenset(a) for a in allowed)
-        for s in sets:
-            if not s <= frozenset(range(p)):
-                raise ValueError("allowed residues outside [0, p)")
-        return cls(p, len(sets), sets)
-
-    def is_full(self) -> bool:
-        return all(len(a) == self.p for a in self.allowed)
+    def residues(self, i: int) -> range:
+        """R_i as the residues it allows, in increasing order."""
+        return range(i in self.units, self.p)
 
     def card(self) -> int:
-        c = 1
-        for a in self.allowed:
-            c *= len(a)
-        return c
-
-    def measure(self) -> Fraction:
-        """Haar measure; O_K^n itself has measure one."""
-        return Fraction(self.card(), self.p**self.n)
+        return self.p ** (self.n - len(self.units)) * (self.p - 1) ** len(self.units)
 
     def describe(self) -> str:
-        if self.is_full():
+        if not self.units:
             return "full"
-        parts = []
-        for a in self.allowed:
-            if len(a) == self.p:
-                parts.append("*")
-            elif a == frozenset(range(1, self.p)):
-                parts.append("units")
-            else:
-                parts.append("{" + ",".join(map(str, sorted(a))) + "}")
-        return "x".join(parts)
+        return "x".join("units" if i in self.units else "*" for i in range(self.n))
 
     def __repr__(self):
         return f"ResidueRegion({self.describe()}, p={self.p}, n={self.n})"
@@ -90,10 +69,7 @@ class ValuationCell(namedtuple("ValuationCell", "m unit")):
 
     def unit_region(self, p: int) -> ResidueRegion:
         """The product region requiring a unit on the unit coordinate."""
-        units, everything = range(1, p), range(p)
-        return ResidueRegion.product(
-            p, [units if i == self.unit else everything for i in range(len(self.m))]
-        )
+        return ResidueRegion(p, len(self.m), frozenset({self.unit}))
 
 
 def complement_cells(r: Tuple[int, ...]) -> List[ValuationCell]:
@@ -124,9 +100,7 @@ def cell_change_of_variables(f: MultiPoly, cell: ValuationCell):
     with d = sum m and D' the product region with units on the cell's unit
     coordinate.  Returns (e, d, f_m, D').
     """
-    ring = f.ring
-    if len(cell.m) != f.n:
-        raise ValueError("cell dimension mismatch")
-    scaled = f.substitute_affine([ring.zero()] * f.n, cell.m)
-    e = scaled.content_valuation()
-    return e, cell.depth_shift(), scaled.divide_by_uniformizer(e), cell.unit_region(ring.p)
+    if f.is_zero():
+        raise ZeroPolynomial("zeta integral of the zero polynomial diverges")
+    e = min(c.valuation() + weighted_degree(a, cell.m) for a, c in f.terms.items())
+    return e, cell.depth_shift(), f.rescale(cell.m, e), cell.unit_region(f.ring.p)

@@ -1,6 +1,7 @@
 """Recursive evaluation of zeta integrals by the stationary phase formula.
 
-One step of the formula splits the integral over a residue region into
+One step of the formula splits the integral over a residue region, where
+each R_i is F_p^* on the region's unit coordinates and F_p elsewhere, into
 
 * the mass of residue classes where the reduction does not vanish (a
   constant),
@@ -19,7 +20,7 @@ f-bar is a sum of parts in disjoint coordinates).  Each c_U in Sing_U gets
 one dilatation x_i -> c_i + pi x_i (i in U, other coordinates unchanged),
 c_i the canonical lift ring.from_int of the residue, with scaling vector 1
 on U and 0 off it, weight q^(-|U|) t^e, and a child region that is full on
-U and R_i off it.  Termination is guaranteed for regions bounded away from
+U and keeps the region's units off it.  Termination is guaranteed for regions bounded away from
 an isolated singularity, so the depth cap is a diagnostic for violated
 hypotheses rather than a tolerance.
 
@@ -202,9 +203,7 @@ def _spf(
             # x_i = c_i + pi y_i on U maps the child region onto the singular
             # classes {c_U} x prod_{i not in U} R_i, with Jacobian q^(-|U|)
             scaling = tuple(int(i in support) for i in range(n))
-            child_region = ResidueRegion.product(
-                p, [range(p) if i in support else region.allowed[i] for i in range(n)]
-            )
+            child_region = ResidueRegion(p, n, region.units - set(support))
             for point in reversed(cls.singular):
                 c_u = dict(zip(support, point))
                 c_box = tuple(f.ring.from_int(c_u[i]) if i in c_u else zero for i in range(n))
@@ -217,25 +216,23 @@ def _spf(
 
 def series_check(
     f: MultiPoly,
-    region: ResidueRegion,
     Z: RatFun,
     J: int,
     budget: int = DEFAULT_BUDGET,
     counts: Optional[List[int]] = None,
 ) -> bool:
-    """Compare the expansion of Z with exhaustively measured valuation fibers.
+    """Compare the expansion of Z, f's zeta integral over O_K^n, with counted valuation fibers.
 
-    The coefficient of t^j in the zeta integral is the measure of the set of
-    points of the region where f has valuation exactly j, which equals
-    N_j p^(-n j) - N_{j+1} p^(-n (j+1)) in terms of restricted solution
-    counts.  Checks orders 0..J-1.  ``counts`` may pass N_0..N_J for the
-    region if they are already known; otherwise they are counted here.
+    The coefficient of t^j is the measure of the set of points where f has
+    valuation exactly j, which equals N_j p^(-n j) - N_{j+1} p^(-n (j+1))
+    in terms of the solution counts.  Checks orders 0..J-1.  ``counts`` may
+    pass N_0..N_J if they are already known; otherwise they are counted here.
     """
     if J <= 0:
         return True
     p, n = f.ring.p, f.n
     if counts is None:
-        counts = analysis.solution_counts(f, J, region, budget)
-    masses = [region.measure()] + [Fraction(counts[j], p ** (n * j)) for j in range(1, J + 1)]
+        counts = analysis.solution_counts(f, J, budget)
+    masses = [Fraction(counts[j], p ** (n * j)) for j in range(J + 1)]
     expected = [masses[j] - masses[j + 1] for j in range(J)]
     return Z.series_expand(J - 1) == expected

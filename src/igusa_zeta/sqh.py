@@ -176,8 +176,7 @@ def scale_step(F: MultiPoly, w: WeightSystem) -> MultiPoly:
     Fixes the weight-d part and multiplies each tail monomial by
     pi^(weighted degree - d).
     """
-    zero = [F.ring.zero()] * F.n
-    return F.substitute_affine(zero, w.alpha).divide_by_uniformizer(w.d)
+    return F.rescale(w.alpha, w.d)
 
 
 class CellIntegral:

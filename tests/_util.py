@@ -10,12 +10,8 @@ from fractions import Fraction
 from igusa_zeta import LocalRingElement, MultiPoly, ResiduePoly
 
 
-def brute_counts_char0(f, j_max, member=None):
-    """N_0..N_jmax for integer-coefficient f by literal enumeration.
-
-    ``member``, if given, takes the reduced point ``(x_1 % p, ..., x_n % p)``
-    and keeps only the points it accepts; N_0 stays 1.
-    """
+def brute_counts_char0(f, j_max):
+    """N_0..N_jmax for integer-coefficient f by literal enumeration."""
     p = f.ring.p
     coeffs = {e: c.payload for e, c in f.terms.items()}
     out = [1]
@@ -23,8 +19,6 @@ def brute_counts_char0(f, j_max, member=None):
         modulus = p**j
         count = 0
         for point in itertools.product(range(modulus), repeat=f.n):
-            if member is not None and not member(tuple(x % p for x in point)):
-                continue
             total = 0
             for e, c in coeffs.items():
                 v = c
@@ -47,20 +41,14 @@ def _pi_mul(a, b, p, j):
     return tuple(out)
 
 
-def brute_counts_charp(f, j_max, member=None):
-    """N_0..N_jmax over (F_p[pi]/pi^j)^n by literal enumeration.
-
-    ``member``, if given, takes the reduced point (digit 0 of each
-    coordinate) and keeps only the points it accepts; N_0 stays 1.
-    """
+def brute_counts_charp(f, j_max):
+    """N_0..N_jmax over (F_p[pi]/pi^j)^n by literal enumeration."""
     p = f.ring.p
     out = [1]
     for j in range(1, j_max + 1):
         elements = list(itertools.product(range(p), repeat=j))
         count = 0
         for point in itertools.product(elements, repeat=f.n):
-            if member is not None and not member(tuple(x[0] for x in point)):
-                continue
             total = (0,) * j
             for e, c in f.terms.items():
                 v = tuple(c.payload[:j]) + (0,) * max(0, j - len(c.payload))
@@ -190,7 +178,7 @@ def from_digits(ring, digits):
 
 def region_points(region):
     """The residue points of a ResidueRegion, in lexicographic order."""
-    return itertools.product(*(sorted(a) for a in region.allowed))
+    return itertools.product(*(region.residues(i) for i in range(region.n)))
 
 
 def int_poly(ring, n, terms):

@@ -10,6 +10,7 @@ from igusa_zeta import (
     MultiPoly,
     ResidueRegion,
     classify_points,
+    parse,
 )
 
 from _util import from_digits, region_points
@@ -85,6 +86,22 @@ def test_times_pi():
     x = from_digits(F5PI, (2, 0, 1))
     assert x.times_pi(3) == x * F5PI.pi(3) == from_digits(F5PI, (0, 0, 0, 2, 0, 1))
     assert F5PI.zero().times_pi(2) == F5PI.zero()
+
+
+@pytest.mark.parametrize("ring", [Z5, F5PI], ids=["char0", "charp"])
+def test_negative_uniformizer_powers_are_rejected(ring):
+    x, f = ring.from_int(3), parse("x^2+y", ring)
+    shifts = [
+        lambda: x.times_pi(-1),
+        lambda: ring.pi(3).divide_by_uniformizer(-1),
+        lambda: ring.zero().times_pi(-2),
+        lambda: f.divide_by_uniformizer(-1),
+        lambda: MultiPoly.zero(ring, 2).divide_by_uniformizer(-1),
+        lambda: f.substitute_affine([ring.zero()] * 2, [-1, 0]),
+    ]
+    for shift in shifts:
+        with pytest.raises(ValueError, match="negative uniformizer power"):
+            shift()
 
 
 def test_enumerate_points():

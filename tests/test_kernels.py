@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from igusa_zeta import LocalRing, MultiPoly, ResidueRegion, _kernels, oracle_counts, parse
+from igusa_zeta import LocalRing, MultiPoly, _kernels, oracle_counts, parse
 from igusa_zeta.analysis import congruence_count
 from igusa_zeta.errors import BudgetExceeded
 
@@ -44,52 +44,9 @@ def test_lift_counts_match_reference_charp(text, ring, jmax):
     assert [1] + [congruence_count(f, j) for j in range(1, jmax + 1)] == expected
 
 
-def test_masked_counts_match_reference():
-    f = parse("x^2+y^3+x*y^2", Z3)
-    product = ResidueRegion.product(3, [frozenset({1, 2}), frozenset({0, 1})])
-    line = ResidueRegion.product(3, [frozenset({0, 1, 2}), frozenset({2})])
-    fp = parse("x^2+u*y^3", F3PI)
-
-    def in_product(r):
-        return r[0] in (1, 2) and r[1] in (0, 1)
-
-    def in_line(r):
-        return r[1] == 2
-
-    expected = (
-        brute_counts_char0(f, 3, in_product)[3],
-        brute_counts_char0(f, 3, in_line)[3],
-        brute_counts_charp(fp, 3, in_product)[3],
-        brute_counts_charp(fp, 3, in_line)[3],
-    )
-    got = (
-        congruence_count(f, 3, product),
-        congruence_count(f, 3, line),
-        congruence_count(fp, 3, product),
-        congruence_count(fp, 3, line),
-    )
-    assert got == expected
-
-
-def test_masked_count_against_direct_loop():
-    f = parse("x^2+y^3", Z3)
-    region = ResidueRegion.product(3, [frozenset({1, 2}), frozenset(range(3))])
-    j = 2
-    modulus = 3**j
-    expected = sum(
-        1
-        for x in range(modulus)
-        for y in range(modulus)
-        if (x * x + y**3) % modulus == 0 and x % 3 in (1, 2)
-    )
-    assert congruence_count(f, j, region) == expected
-
-
 def test_zero_polynomial_counts():
     f = parse("0", Z3, n_hint=2)
-    region = ResidueRegion.product(3, [frozenset({1}), frozenset(range(3))])
     assert congruence_count(f, 2) == 3**4
-    assert congruence_count(f, 2, region) == 3 * 3**2
 
 
 # Counts out of reach of the pure-Python enumerations, recorded from the
@@ -187,16 +144,15 @@ SLICED = [
 def test_counts_with_the_lift_grid_sliced(monkeypatch, text, ring, jmax):
     # a slice of 4 candidates cuts every grid of p^n = 9 or 27 points
     f = parse(text, ring)
-    region = ResidueRegion.product(3, [frozenset({1, 2})] + [frozenset(range(3))] * (f.n - 1))
     brute = brute_counts_charp if ring.positive_char else brute_counts_char0
-    expected = (brute(f, jmax), brute(f, jmax, lambda r: r[0] in (1, 2))[jmax])
+    expected = brute(f, jmax)
     monkeypatch.setattr(_kernels, "_SLICE", 4)
-    assert (oracle_counts(f, jmax), congruence_count(f, jmax, region)) == expected
+    assert (oracle_counts(f, jmax), congruence_count(f, jmax)) == (expected, expected[jmax])
 
 
 @st.composite
 def counting_cases(draw):
-    """(f, levels, allowed sets or None) with p^(n levels) at most 5000.
+    """(f, levels) with p^(n levels) at most 5000.
 
     Coefficient digit lists run up to ``levels`` long.  Within 5000 points
     the drawn lanes fit one word; the examples of the test add three.
@@ -216,31 +172,23 @@ def counting_cases(draw):
         else:
             c = ring.from_int(draw(st.integers(-7, 7)))
         terms[e] = c * ring.pi(v)
-    f = MultiPoly(ring, n, terms)
-    allowed = None
-    if draw(st.booleans()):
-        allowed = [frozenset(draw(st.sets(st.integers(0, p - 1)))) for _ in range(n)]
-    return f, levels, allowed
+    return MultiPoly(ring, n, terms), levels
 
 
-def _words_case(allowed):
+def _words_case():
     # 1 + x + x^2 + x^3 times a unit of 11 digits 1 over F_2((u)), to J = 11:
     # lanes of 6 bits, 5 to a word, so 3 words
     ring = LocalRing(2, positive_char=True)
     c = from_digits(ring, [1] * 11)
-    return MultiPoly(ring, 1, {(e,): c for e in range(4)}), 11, allowed
+    return MultiPoly(ring, 1, {(e,): c for e in range(4)}), 11
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(counting_cases())
-@example(_words_case(None))
-@example(_words_case([frozenset({1})]))
+@example(_words_case())
 def test_lift_counts_match_reference_property(case):
-    f, levels, allowed = case
-    region = None if allowed is None else ResidueRegion.product(f.ring.p, allowed)
-    member = None if allowed is None else (lambda r: all(x in a for x, a in zip(r, allowed)))
+    f, levels = case
     brute = brute_counts_charp if f.ring.positive_char else brute_counts_char0
-    expected = brute(f, levels, member)
-    assert [1] + [congruence_count(f, j, region) for j in range(1, levels + 1)] == expected
-    if region is None:
-        assert oracle_counts(f, levels) == expected
+    expected = brute(f, levels)
+    assert [1] + [congruence_count(f, j) for j in range(1, levels + 1)] == expected
+    assert oracle_counts(f, levels) == expected

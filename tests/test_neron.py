@@ -44,15 +44,27 @@ def test_classify_line():
 
 
 def test_classify_unit_constant():
-    region = ResidueRegion.product(5, [frozenset({1, 2, 3}), frozenset(range(5))])
+    region = ResidueRegion(5, 2, frozenset({0}))
     cls = classify_points(parse("1", Z5, n_hint=2), region)
-    assert cls.nu == region.measure()
+    assert cls.nu == Fraction(4 * 5, 25)
     assert cls.sigma == 0 and cls.singular == []
+
+
+def random_mask(p, n, rng):
+    """A residue region whose unit coordinates are a random subset of range(n)."""
+    return ResidueRegion(p, n, frozenset(i for i in range(n) if rng.random() < 0.5))
+
+
+def unit_masks(p, n, rng):
+    """The masks with no units and with all units, and a random one."""
+    return [
+        ResidueRegion.full(p, n), ResidueRegion(p, n, frozenset(range(n))), random_mask(p, n, rng),
+    ]
 
 
 def expand_singular(cls, region):
     """The region's singular points {c_U} x prod_{i not in U} R_i, in region order."""
-    factors = [sorted(allowed) for allowed in region.allowed]
+    factors = [region.residues(i) for i in range(region.n)]
     points = []
     for c_u in cls.singular:
         rows = list(factors)
@@ -101,12 +113,10 @@ def test_classify_partition_random():
             f = missing_coordinate(f, rng)
         if f.content_valuation() > 0:
             continue
-        allowed = [
-            frozenset(rng.sample(range(3), rng.randint(1, 3))) for _ in range(2)
-        ]
-        region = ResidueRegion.product(3, allowed)
+        region = random_mask(3, 2, rng)
         cls = classify_points(f, region)
-        assert cls.nu + cls.sigma + Fraction(len(cls.singular) * cls.fibre, 9) == region.measure()
+        total = cls.nu + cls.sigma + Fraction(len(cls.singular) * cls.fibre, 9)
+        assert total == Fraction(region.card(), 9)
         assert_matches_reference(f, region)
 
 
@@ -135,16 +145,7 @@ def test_classify_matches_pointwise_evaluation(p):
                 f = missing_coordinate(f, rng)
                 if f.content_valuation() > 0:
                     continue
-            regions = [
-                ResidueRegion.full(p, n),
-                ResidueRegion.product(
-                    p, [rng.sample(range(p), rng.randint(1, p)) for _ in range(n)]
-                ),
-                ResidueRegion.product(
-                    p, [rng.sample(range(p), rng.randint(1, p)) for _ in range(n)]
-                ),
-            ]
-            for region in regions:
+            for region in unit_masks(p, n, rng):
                 assert_matches_reference(f, region)
 
 
@@ -194,10 +195,7 @@ def test_classify_parts_match_reference(p, positive_char):
         if f.is_zero() or f.content_valuation() > 0:
             continue
         cases += 1
-        region = ResidueRegion.product(
-            p, [rng.sample(range(p), rng.randint(1, p)) for _ in range(n)]
-        )
-        for reg in (ResidueRegion.full(p, n), region):
+        for reg in unit_masks(p, n, rng):
             cls = classify_points(f, reg)
             nu, sigma, singular = reference_classify(f, reg)
             assert (cls.nu, cls.sigma) == (nu, sigma)
@@ -217,11 +215,12 @@ def test_classify_univariate_monomials(p, positive_char, monkeypatch):
     c, pi = ring.from_int(p - 1), ring.pi(1)
     for n in (1, 3):
         i = n - 1
+        # no units, units off x_i, on x_i only, and everywhere
         regions = [
             ResidueRegion.full(p, n),
-            ResidueRegion.product(p, [[0, p - 1]] * i + [[0, 1]]),
-            ResidueRegion.product(p, [[1]] * i + [range(1, p)]),
-            ResidueRegion.product(p, [range(p)] * i + [[0]]),
+            ResidueRegion(p, n, frozenset(range(i))),
+            ResidueRegion(p, n, frozenset({i})),
+            ResidueRegion(p, n, frozenset(range(n))),
         ]
         for k in (1, 2, p, p + 1):
             e = (0,) * i + (k,)

@@ -2,10 +2,14 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from igusa_zeta import (
     LocalRing,
+    MultiPoly,
     ResidueRegion,
     ValuationCell,
+    ZeroPolynomial,
     cell_change_of_variables,
     complement_cells,
     parse,
@@ -17,21 +21,34 @@ Z5 = LocalRing(5)
 Z3 = LocalRing(3)
 
 
-def test_measure():
-    assert ResidueRegion.full(5, 3).measure() == 1
-    units_all = ResidueRegion.product(5, [frozenset(range(1, 5)), frozenset(range(5))])
-    assert units_all.measure() == Fraction(4, 5)
-    pts = ResidueRegion.product(5, [frozenset({0, 1, 3}), frozenset({2})])
-    assert pts.measure() == Fraction(3, 25)
+def test_card_on_unit_masks():
+    assert ResidueRegion.full(5, 3).card() == 125
+    assert ResidueRegion(5, 2, frozenset({0})).card() == 4 * 5
+    assert ResidueRegion(5, 3, frozenset({0, 2})).card() == 4 * 5 * 4
+    assert ResidueRegion(2, 2, frozenset({0, 1})).card() == 1
+
+
+def test_residues_and_describe_on_masks():
+    reg = ResidueRegion(3, 3, frozenset({0, 2}))
+    assert [list(reg.residues(i)) for i in range(3)] == [[1, 2], [0, 1, 2], [1, 2]]
+    assert reg.describe() == "unitsx*xunits"
+    assert ResidueRegion(5, 2, frozenset()).describe() == "full"
+    assert ResidueRegion(2, 2, frozenset({0, 1})).describe() == "unitsxunits"
+    assert list(ResidueRegion(2, 1, frozenset({0})).residues(0)) == [1]  # F_2^* = {1}
+    assert repr(ResidueRegion(7, 2, frozenset({1}))) == "ResidueRegion(*xunits, p=7, n=2)"
+
+
+def test_units_outside_the_coordinates_are_rejected():
+    for units in ({2}, {-1}, {0, 5}):
+        with pytest.raises(ValueError, match="outside"):
+            ResidueRegion(5, 2, frozenset(units))
+    assert ResidueRegion(5, 2, frozenset({0, 1})).units == {0, 1}
 
 
 def test_region_points_and_contains():
-    reg = ResidueRegion.product(3, [frozenset({1, 2}), frozenset({0})])
-    assert list(region_points(reg)) == [(1, 0), (2, 0)]
-    member = lambda point: all(a in s for a, s in zip(point, reg.allowed))
-    assert member((2, 0)) and not member((0, 0))
-    unsorted = ResidueRegion.product(3, [[2, 0]])
-    assert list(region_points(unsorted)) == [(0,), (2,)]
+    reg = ResidueRegion(3, 2, frozenset({0}))
+    assert list(region_points(reg)) == [(x, y) for x in (1, 2) for y in range(3)]
+    assert list(region_points(ResidueRegion(2, 2, frozenset({1})))) == [(0, 1), (1, 1)]
 
 
 def test_complement_cells_dimension_one():
@@ -95,6 +112,15 @@ def test_cell_change_of_variables_examples():
     assert (e, d) == (2, 2)
     assert gb == parse("x", Z5)
     assert target.describe() == "units"
+
+    # terms above the content lose their surplus powers of pi exactly
+    h = parse("25+x+5*y", Z5)
+    e, d, hb, target = cell_change_of_variables(h, ValuationCell((3, 0), 1))
+    assert (e, d) == (1, 3)
+    assert hb == parse("5+25*x+y", Z5)
+    assert target.describe() == "*xunits"
+    with pytest.raises(ZeroPolynomial):
+        cell_change_of_variables(MultiPoly.zero(Z5, 2), ValuationCell((1, 0), 0))
 
     # quasihomogeneity: scaling by the weights is trivial on the weighted part
     e, d, fb, target = cell_change_of_variables(f, ValuationCell((3, 2), 1))
