@@ -11,6 +11,14 @@ with prime residue field ``F_p``:
   division by pi-powers) preserves polynomiality, so no truncation is needed.
 
 Both representations are exact; nothing in this package is floating point.
+
+Elements are immutable.  Each caches its pi-adic valuation in a slot that
+the first valuation() fills.  When v is cached, times_pi(k) and
+divide_by_uniformizer(k) give their results v + k and v - k, and the
+division tests divisibility on v, so a coefficient that the engine only
+shifts by powers of pi has its valuation computed once.  Every other
+operation returns an element with a cold cache.  Equality and hashing read
+only the ring and the payload, never the cache.
 """
 
 from __future__ import annotations
@@ -136,11 +144,12 @@ class LocalRing:
 class LocalRingElement:
     """An element of O_K: an integer (char 0) or a polynomial in pi (char p)."""
 
-    __slots__ = ("ring", "payload")
+    __slots__ = ("ring", "payload", "_valuation")
 
     def __init__(self, ring: LocalRing, payload: Union[int, Tuple[int, ...]]):
         self.ring = ring
         self.payload = payload
+        self._valuation = None  # filled by the first valuation()
 
     # -- structure ---------------------------------------------------------
 
@@ -148,16 +157,20 @@ class LocalRingElement:
         return self.payload == 0 if not self.ring.positive_char else not self.payload
 
     def valuation(self) -> Union[int, float]:
-        """Exact pi-adic order; INFINITY for zero."""
-        if self.is_zero():
-            return INFINITY
-        if self.ring.positive_char:
-            digits = self.payload
-            k = 0
-            while digits[k] == 0:
-                k += 1
-            return k
-        return _deep_valuation(abs(self.payload), self.ring.p)
+        """Exact pi-adic order; INFINITY for zero.  Computed once, then cached."""
+        v = self._valuation
+        if v is None:
+            if self.is_zero():
+                v = INFINITY
+            elif self.ring.positive_char:
+                digits = self.payload
+                v = 0
+                while digits[v] == 0:
+                    v += 1
+            else:
+                v = _deep_valuation(abs(self.payload), self.ring.p)
+            self._valuation = v
+        return v
 
     def reduce(self) -> int:
         """Image in the residue field F_p, as an integer in [0, p)."""
@@ -166,29 +179,46 @@ class LocalRingElement:
         return self.payload % self.ring.p
 
     def divide_by_uniformizer(self, k: int) -> "LocalRingElement":
-        """The exact quotient by pi^k (k >= 0); requires valuation >= k."""
+        """The exact quotient by pi^k (k >= 0); requires valuation >= k.
+
+        A cached valuation v decides divisibility and gives the quotient v - k.
+        """
         if k < 0:
             raise ValueError("negative uniformizer power")
         if k == 0 or self.is_zero():
             return self
-        if self.ring.positive_char:
-            if any(d != 0 for d in self.payload[:k]):
-                raise InsufficientValuation(f"valuation < {k}")
-            return LocalRingElement(self.ring, self.payload[k:])
-        q = self.ring.p**k
-        if self.payload % q != 0:
+        v = self._valuation
+        if v is not None and v < k:
             raise InsufficientValuation(f"valuation < {k}")
-        return LocalRingElement(self.ring, self.payload // q)
+        if self.ring.positive_char:
+            if v is None and any(self.payload[:k]):
+                raise InsufficientValuation(f"valuation < {k}")
+            out = LocalRingElement(self.ring, self.payload[k:])
+        else:
+            q = self.ring.p**k
+            if v is None and self.payload % q:
+                raise InsufficientValuation(f"valuation < {k}")
+            out = LocalRingElement(self.ring, self.payload // q)
+        if v is not None:
+            out._valuation = v - k
+        return out
 
     def times_pi(self, k: int) -> "LocalRingElement":
-        """pi^k times the element (k >= 0): p^k in char 0, k zero digits in char p."""
+        """pi^k times the element (k >= 0): p^k in char 0, k zero digits in char p.
+
+        A cached valuation v gives the product v + k.
+        """
         if k < 0:
             raise ValueError("negative uniformizer power")
         if k == 0 or self.is_zero():
             return self
         if self.ring.positive_char:
-            return LocalRingElement(self.ring, (0,) * k + self.payload)
-        return LocalRingElement(self.ring, self.payload * self.ring.p**k)
+            out = LocalRingElement(self.ring, (0,) * k + self.payload)
+        else:
+            out = LocalRingElement(self.ring, self.payload * self.ring.p**k)
+        if self._valuation is not None:
+            out._valuation = self._valuation + k
+        return out
 
     # -- arithmetic --------------------------------------------------------
 

@@ -87,6 +87,47 @@ class Part:
         self.points = points
         self.values = values
 
+    def critical(self, indices, p: int) -> List[Tuple[Tuple[int, ...], int]]:
+        """The (point, value) pairs among the indexed ones at which every partial of g_P vanishes.
+
+        Each partial is evaluated only at the points the previous ones kept.
+        """
+        for i in self.coords:
+            if not indices:
+                break
+            partial = [(e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in self.terms if e[i]]
+            slopes = _evaluate_at(partial, self.coords, [self.points[j] for j in indices], p)
+            indices = [j for j, s in zip(indices, slopes) if not s]
+        return [(self.points[j], self.values[j]) for j in indices]
+
+
+class MonomialPart:
+    """A part P = {i} whose g_P is one monomial c x_i^k, c a unit, on R_i.
+
+    Its values c x^k mod p are read off _power_row, with no point
+    enumerated, and its critical set comes in closed form, by the rule of
+    _classify_monomial: all of R_i when p | k, nothing when k = 1, and
+    x_i = 0 otherwise.
+    """
+
+    __slots__ = ("coords", "residues", "k", "values")
+
+    def __init__(self, i: int, k: int, c: int, residues: range, p: int):
+        self.coords = (i,)
+        self.residues = residues
+        self.k = k
+        self.values = [c * y % p for y in _power_row(p, k)[residues.start:]]
+
+    def critical(self, indices, p: int) -> List[Tuple[Tuple[int, ...], int]]:
+        """The (point, value) pairs among the indexed ones where k c x_i^(k - 1) vanishes."""
+        if self.k % p == 0:
+            keep = indices
+        elif self.k == 1 or self.residues.start:
+            keep = ()
+        else:
+            keep = [0] if 0 in indices else []  # index 0 is the residue 0
+        return [((self.residues[j],), self.values[j]) for j in keep]
+
 
 def classify_points(
     f: MultiPoly, region: ResidueRegion, budget: int = DEFAULT_BUDGET
@@ -102,6 +143,8 @@ def classify_points(
     reduction is c + sum_P g_P with each g_P in the coordinates of P alone.
     Each part enumerates only its own product prod_{i in P} R_i and
     evaluates g_P there, one monomial at a time from tables of x^k mod p.
+    A part that is one monomial c x_i^k enumerates nothing: its values are
+    its table's row and its critical set is closed (see MonomialPart).
 
     The zeros are counted by convolving the value histograms of all parts
     but the largest mod p, shifted by c, and joining the largest part by
@@ -141,7 +184,7 @@ def classify_points(
     zeros = sum(map(completes.get, last.values, itertools.repeat(0)))
     last_critical: Dict[int, List[Tuple[int, ...]]] = {}  # by value, at zeros only
     at_zeros = [j for j, v in enumerate(last.values) if v in completes]
-    for x, v in _critical(last, at_zeros, p):
+    for x, v in last.critical(at_zeros, p):
         last_critical.setdefault(v, []).append(x)
     singular = (
         _join(others, last, last_critical, constant, spent, budget, p) if last_critical else []
@@ -175,7 +218,7 @@ def _classify_monomial(region: ResidueRegion, i: int, k: int, budget: int) -> Po
 
 
 def _join(
-    others: List[Part], last: Part, last_critical, constant: int, spent: int, budget: int, p: int
+    others: list, last, last_critical, constant: int, spent: int, budget: int, p: int
 ):
     """The singular points, in lexicographic order on the support.
 
@@ -184,7 +227,7 @@ def _join(
     to 0.  The combinations of the other parts are charged to the budget
     first.
     """
-    critical = [_critical(part, range(len(part.points)), p) for part in others]
+    critical = [part.critical(range(len(part.values)), p) for part in others]
     _charge(spent + math.prod(map(len, critical)), budget)
     combos = [((), constant)]  # residues part by part, with c + their values
     for pairs in critical:
@@ -225,23 +268,13 @@ def _split_into_parts(fbar: ResiduePoly) -> List[Tuple[Tuple[int, ...], list]]:
     return sorted((tuple(sorted(coords)), terms) for coords, terms in groups) or [((), [])]
 
 
-def _evaluate_part(coords, terms, region: ResidueRegion) -> Part:
+def _evaluate_part(coords, terms, region: ResidueRegion):
+    """The part on coords with the given terms, evaluated at its points of the region."""
+    if len(terms) == 1 and len(coords) == 1:
+        (i,), ((e, c),) = coords, terms
+        return MonomialPart(i, e[i], c, region.residues(i), region.p)
     points = list(itertools.product(*(region.residues(i) for i in coords)))
     return Part(coords, terms, points, _evaluate_at(terms, coords, points, region.p))
-
-
-def _critical(part: Part, indices, p: int) -> List[Tuple[Tuple[int, ...], int]]:
-    """The (point, value) pairs among the indexed ones at which every partial of g_P vanishes.
-
-    Each partial is evaluated only at the points the previous ones kept.
-    """
-    for i in part.coords:
-        if not indices:
-            break
-        partial = [(e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in part.terms if e[i]]
-        slopes = _evaluate_at(partial, part.coords, [part.points[j] for j in indices], p)
-        indices = [j for j, s in zip(indices, slopes) if not s]
-    return [(part.points[j], part.values[j]) for j in indices]
 
 
 def _histogram(values: List[int]) -> Dict[int, int]:
@@ -302,8 +335,14 @@ def dilate(
     """Dilatation of f at ``center`` with scaling vector m.
 
     Returns (f_P, e) with f(center + pi^m o x) = pi^e f_P(x) exactly and
-    f_P of unit content.
+    f_P of unit content.  At an all-zero centre this is one rescale of the
+    terms (MultiPoly.dilate_at_zero, as for a valuation cell); only a
+    nonzero centre expands binomially (MultiPoly.substitute_affine).
     """
+    if len(center) != f.n or len(m) != f.n:
+        raise ValueError("center/scale length mismatch")
+    if all(c.is_zero() for c in center):
+        return f.dilate_at_zero(m)
     substituted = f.substitute_affine(center, m)
     e = substituted.content_valuation()
     return substituted.divide_by_uniformizer(e), e
@@ -314,12 +353,16 @@ class DilatationNode:
 
     E_accum sums the extracted contents e along the path from the root and
     S_accum the numbers of rescaled coordinates, so the node's integral
-    enters the root's value with weight q^(-S_accum) t^E_accum.
+    enters the root's value with weight q^(-S_accum) t^E_accum.  The node
+    keeps its classification's integer counts nonzero and smooth out of
+    total = p^n residue points, and the ResidueRegion it classified;
+    nu = nonzero/total, sigma = smooth/total and the region's description
+    are derived from them when read (only --trace reads them).
     """
 
     __slots__ = (
-        "center", "m", "e", "E_accum", "S_accum", "depth", "nu", "sigma",
-        "singular_count", "region", "children",
+        "center", "m", "e", "E_accum", "S_accum", "depth", "nonzero", "smooth", "total",
+        "singular_count", "residue_region", "children",
     )
 
     def __init__(
@@ -330,10 +373,11 @@ class DilatationNode:
         E_accum: int,
         S_accum: int,
         depth: int,
-        nu: Fraction,
-        sigma: Fraction,
+        nonzero: int,
+        smooth: int,
+        total: int,
         singular_count: int,
-        region: str,
+        residue_region: ResidueRegion,
         children: Optional[List["DilatationNode"]] = None,
     ):
         self.center = center
@@ -342,11 +386,24 @@ class DilatationNode:
         self.E_accum = E_accum
         self.S_accum = S_accum
         self.depth = depth
-        self.nu = nu
-        self.sigma = sigma
+        self.nonzero = nonzero
+        self.smooth = smooth
+        self.total = total
         self.singular_count = singular_count
-        self.region = region
+        self.residue_region = residue_region
         self.children = [] if children is None else children
+
+    @property
+    def nu(self) -> Fraction:
+        return Fraction(self.nonzero, self.total)
+
+    @property
+    def sigma(self) -> Fraction:
+        return Fraction(self.smooth, self.total)
+
+    @property
+    def region(self) -> str:
+        return self.residue_region.describe()
 
     def to_json(self) -> dict:
         """The subtree as nested dicts, built on an explicit stack (any depth)."""

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import re
+from operator import mul
 from typing import Dict, Optional, Sequence, Tuple
 
 from .coeff import LocalRing, LocalRingElement
@@ -29,7 +30,7 @@ def weighted_degree(exps: Sequence[int], alpha: Sequence[int]) -> int:
     """Sum of alpha_i * m_i for a monomial exponent vector m."""
     if len(exps) != len(alpha):
         raise ValueError("length mismatch")
-    return sum(a * m for a, m in zip(alpha, exps))
+    return sum(map(mul, alpha, exps))
 
 
 class MultiPoly:
@@ -181,9 +182,25 @@ class MultiPoly:
         exact division that raises InsufficientValuation when c has
         valuation below k - <m, a>.
         """
+        return self._shift_terms([weighted_degree(a, m) for a in self.terms], k)
+
+    def dilate_at_zero(self, m: Sequence[int]) -> Tuple["MultiPoly", int]:
+        """(g, e) with f(pi^{m_1} x_1, ..., pi^{m_n} x_n) = pi^e g(x), g of unit content.
+
+        e is the least v(c) + <m, a> over the terms c x^a, read off the
+        coefficients' cached valuations, and g is rescale(m, e).
+        """
+        if not self.terms:
+            raise ZeroPolynomial("content of the zero polynomial")
+        degrees = [weighted_degree(a, m) for a in self.terms]
+        e = min(c.valuation() + d for c, d in zip(self.terms.values(), degrees))
+        return self._shift_terms(degrees, e), e
+
+    def _shift_terms(self, degrees: Sequence[int], k: int) -> "MultiPoly":
+        """The terms c x^a times pi^(d - k), d the term's entry in degrees (rescale's formula)."""
         terms: Dict[Exponents, LocalRingElement] = {}
-        for a, c in self.terms.items():
-            shift = weighted_degree(a, m) - k
+        for (a, c), d in zip(self.terms.items(), degrees):
+            shift = d - k
             terms[a] = c.times_pi(shift) if shift >= 0 else c.divide_by_uniformizer(-shift)
         return MultiPoly(self.ring, self.n, terms)
 

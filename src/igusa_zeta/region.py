@@ -19,7 +19,7 @@ from collections import namedtuple
 from typing import FrozenSet, List, Tuple
 
 from .errors import ZeroPolynomial
-from .poly import MultiPoly, weighted_degree
+from .poly import MultiPoly
 
 
 class ResidueRegion:
@@ -102,5 +102,5 @@ def cell_change_of_variables(f: MultiPoly, cell: ValuationCell):
     """
     if f.is_zero():
         raise ZeroPolynomial("zeta integral of the zero polynomial diverges")
-    e = min(c.valuation() + weighted_degree(a, cell.m) for a, c in f.terms.items())
-    return e, cell.depth_shift(), f.rescale(cell.m, e), cell.unit_region(f.ring.p)
+    f_m, e = f.dilate_at_zero(cell.m)
+    return e, cell.depth_shift(), f_m, cell.unit_region(f.ring.p)

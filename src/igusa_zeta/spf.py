@@ -193,8 +193,8 @@ def _spf(
         if cls.nonzero or cls.smooth:
             tally_add(tally, (e_accum, n + s_accum), cls.nonzero, cls.smooth)
         node = DilatationNode(
-            center, m, e, e_accum, s_accum, depth, cls.nu, cls.sigma,
-            len(cls.singular) * cls.fibre, region.describe(),
+            center, m, e, e_accum, s_accum, depth, cls.nonzero, cls.smooth, cls.total,
+            len(cls.singular) * cls.fibre, region,
         )
         siblings.append(node)
         if cls.singular:

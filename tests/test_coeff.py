@@ -2,11 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igusa_zeta import (
     BudgetExceeded,
     InsufficientValuation,
     LocalRing,
+    LocalRingElement,
     MultiPoly,
     ResidueRegion,
     classify_points,
@@ -174,3 +177,62 @@ def test_element_render():
     assert from_digits(F5PI, (1, 0, 3)).render() == "1 + 3*u^2"
     assert from_digits(F5PI, (0, 1)).render() == "u"
     assert F5PI.zero().render() == "0"
+
+
+CACHE_RINGS = [LocalRing(p, positive_char=c) for p in (2, 3, 5) for c in (False, True)]
+
+
+def ring_elements(ring):
+    """Elements of O_K with valuations up to 8 and some zeros, as payloads go in."""
+    if ring.positive_char:
+        return st.lists(st.integers(0, ring.p - 1), max_size=10).map(
+            lambda digits: from_digits(ring, digits)
+        )
+    return st.builds(
+        lambda u, k: ring.from_int(u * ring.p**k), st.integers(-60, 60), st.integers(0, 8)
+    )
+
+
+def fresh(x):
+    """x with a cold cache: the valuation is computed from the payload alone."""
+    return LocalRingElement(x.ring, x.payload)
+
+
+CACHE_OPS = ["times_pi", "divide", "add", "sub", "mul", "pow", "neg", "from_int", "pi"]
+
+
+@pytest.mark.parametrize("ring", CACHE_RINGS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cached_valuation_matches_a_fresh_element(ring, data):
+    # a chain of operations, each on operands whose caches are cold or warm;
+    # every result's valuation equals a cold copy's, and == and hash ignore the cache
+    x = data.draw(ring_elements(ring))
+    for op in data.draw(st.lists(st.sampled_from(CACHE_OPS), min_size=1, max_size=8)):
+        y = data.draw(ring_elements(ring))
+        k = data.draw(st.integers(0, 6))
+        for operand in (x, y):
+            if data.draw(st.booleans()):
+                operand.valuation()
+        try:
+            x = {
+                "times_pi": lambda: x.times_pi(k),
+                "divide": lambda: x.divide_by_uniformizer(k),
+                "add": lambda: x + y,
+                "sub": lambda: x - y,
+                "mul": lambda: x * y,
+                "pow": lambda: x ** (k % 4),
+                "neg": lambda: -x,
+                "from_int": lambda: ring.from_int(data.draw(st.integers(-100, 100))),
+                "pi": lambda: ring.pi(k),
+            }[op]()
+        except InsufficientValuation:
+            assert op == "divide" and fresh(x).valuation() < k
+            with pytest.raises(InsufficientValuation):
+                fresh(x).divide_by_uniformizer(k)
+            continue
+        cold = fresh(x)
+        if data.draw(st.booleans()):
+            x.valuation()
+        assert x == cold and hash(x) == hash(cold)
+        assert x.valuation() == cold.valuation()

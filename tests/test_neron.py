@@ -13,6 +13,7 @@ from igusa_zeta import (
     dilate,
     neron,
     parse,
+    weighted_degree,
 )
 
 from _util import (
@@ -232,6 +233,38 @@ def test_classify_univariate_monomials(p, positive_char, monkeypatch):
                     assert_matches_reference(f, region)
 
 
+def _refuse(*args):
+    raise AssertionError("a monomial part was evaluated point by point")
+
+
+@pytest.mark.parametrize("positive_char", [False, True])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_classify_monomial_parts(p, positive_char, monkeypatch):
+    # sums c_1 x_1^k_1 + ... + c_n x_n^k_n: every part is one monomial, read
+    # off the power rows with its critical set in closed form (all of R_i if
+    # p | k, none if k = 1, x_i = 0 otherwise), so nothing is evaluated at points
+    rng = random.Random(10 * p + positive_char)
+    ring = LocalRing(p, positive_char=positive_char)
+    monkeypatch.setattr(neron, "_evaluate_at", _refuse)
+    for n in (2, 3):
+        i = n - 1
+        regions = [
+            ResidueRegion.full(p, n),
+            ResidueRegion(p, n, frozenset(range(i))),
+            ResidueRegion(p, n, frozenset({i})),
+            ResidueRegion(p, n, frozenset(range(n))),
+        ]
+        for ks in itertools.product((1, 2, p, p + 1), repeat=n):
+            terms = {
+                tuple(k if j == l else 0 for j in range(n)): ring.from_int(rng.randint(1, p - 1))
+                for l, k in enumerate(ks)
+            }
+            if rng.random() < 0.5:
+                terms[(0,) * n] = ring.from_int(rng.randint(1, p - 1))
+            for region in regions:
+                assert_matches_reference(MultiPoly(ring, n, terms), region)
+
+
 def test_classify_budget():
     with pytest.raises(BudgetExceeded):
         classify_points(parse("x", Z5), ResidueRegion.full(5, 1), budget=3)
@@ -239,6 +272,11 @@ def test_classify_budget():
     with pytest.raises(BudgetExceeded, match="takes 6 steps"):
         classify_points(parse("x^2", Z5), ResidueRegion.full(5, 1), budget=5)
     assert classify_points(parse("x^2", Z5), ResidueRegion.full(5, 1), budget=6).singular == [(0,)]
+    # monomial parts x^2 and y^2 charge their 10 points, then one combination
+    x2y2, plane = parse("x^2+y^2", Z5), ResidueRegion.full(5, 2)
+    with pytest.raises(BudgetExceeded, match="takes 11 steps"):
+        classify_points(x2y2, plane, budget=10)
+    assert classify_points(x2y2, plane, budget=11).singular == [(0, 0)]
 
 
 def test_dilate_examples():
@@ -281,3 +319,23 @@ def test_dilate_identity_random():
             fp, e = dilate(f, point, m)
             assert fp.content_valuation() == 0
             assert poly_times_pi(fp, e) == f.substitute_affine(point, m)
+    # all-zero centres take the one-pass rescale: it must give what expansion,
+    # content and division give, also where a coefficient's pi pays for a
+    # term of weight <m, a> below e, so that the term is divided by pi
+    divided = 0
+    for ring in (Z5, F5PI):
+        zero = (ring.zero(),) * 2
+        for _ in range(40):
+            f = MultiPoly(ring, 2, {
+                (rng.randint(0, 3), rng.randint(0, 3)):
+                    ring.from_int(rng.randint(1, 4)).times_pi(rng.randint(0, 3))
+                for _ in range(rng.randint(1, 4))
+            })
+            m = (rng.randint(0, 2), rng.randint(0, 2))
+            substituted = f.substitute_affine(zero, m)
+            e = substituted.content_valuation()
+            assert dilate(f, zero, m) == (substituted.divide_by_uniformizer(e), e)
+            divided += any(weighted_degree(a, m) < e for a in f.terms)
+    assert divided >= 10
+    with pytest.raises(ValueError, match="center/scale length mismatch"):
+        dilate(parse("x^2+y^3", Z5), (Z5.zero(),), (1, 1))
