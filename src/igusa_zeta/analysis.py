@@ -19,31 +19,26 @@ from .poly import MultiPoly
 from .ratfun import DenomFactor, RatFun
 
 
-def solution_counts(f: MultiPoly, levels: int, budget: int = DEFAULT_BUDGET) -> List[int]:
-    """N_0..N_levels: solutions in (O/pi^j)^n of f = 0 mod pi^j; N_0 = 1.
+def oracle_counts(f: MultiPoly, j_max: int, budget: int = DEFAULT_BUDGET) -> List[int]:
+    """N_0..N_jmax: solutions in (O/pi^j)^n of f = 0 mod pi^j; N_0 = 1.
 
     One lifting pass counts every level.  ``budget`` caps the lifting
     candidates N_(j-1) p^n of each level (BudgetExceeded beyond it).
-    Negative ``levels`` raise ValueError.
+    Negative ``j_max`` raises ValueError.
     """
-    if levels < 0:
+    if j_max < 0:
         raise ValueError("levels must be >= 0")
     from . import _kernels  # numpy is loaded by the first count, not by the engine
 
     ring = f.ring
     terms = sorted(f.terms)
     coeffs = [f.terms[e].payload for e in terms]
-    return _kernels.lift_counts(terms, coeffs, f.n, ring.p, levels, ring.positive_char, budget)
+    return _kernels.lift_counts(terms, coeffs, f.n, ring.p, j_max, ring.positive_char, budget)
 
 
 def congruence_count(f: MultiPoly, j: int, budget: int = DEFAULT_BUDGET) -> int:
     """Number of x in (O/pi^j)^n with f(x) = 0 mod pi^j."""
-    return solution_counts(f, j, budget)[j]
-
-
-def oracle_counts(f: MultiPoly, j_max: int, budget: int = DEFAULT_BUDGET) -> List[int]:
-    """Exhaustive counts N_0..N_jmax of solutions mod pi^j; N_0 = 1."""
-    return solution_counts(f, j_max, budget)
+    return oracle_counts(f, j, budget)[j]
 
 
 class PoincareSeries:

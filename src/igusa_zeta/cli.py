@@ -56,16 +56,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--prime", type=int, required=True, help="residue characteristic p")
         p.add_argument("--char", choices=["0", "p"], default="0",
                        help="field characteristic: 0 for Q_p, p for F_p((u))")
-        p.add_argument("--format", choices=["text", "json", "latex"], default="text")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="enumeration budget (>= 1): per classification, the residue "
                             "points of its parts, p^2 per histogram convolution and the "
                             "critical-point combinations; lifting candidates N_(j-1)*p^n "
                             "per counting level")
-        p.add_argument("--max-depth", type=int, default=64, help="dilatation recursion cap")
 
     c = sub.add_parser("compute", help="compute Z(f, s) via the weight-system driver")
     common(c)
+    c.add_argument("--format", choices=["text", "json", "latex"], default="text")
     c.add_argument("--weights", default=None, help='weight hint "a1,a2,...:d"')
     c.add_argument("--expand", type=int, default=4, metavar="J",
                    help="report congruence counts N_0..N_J extracted from P(t)")
@@ -74,12 +73,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle", help="count congruence solutions exhaustively")
     common(o)
+    o.add_argument("--format", choices=["text", "json"], default="text")
     o.add_argument("--levels", type=int, default=4, metavar="J", help="count N_0..N_J")
 
     k = sub.add_parser("check", help="cross-validate engine, oracle and closed form")
     common(k)
     k.add_argument("--weights", default=None, help='weight hint "a1,a2,...:d"')
     k.add_argument("--levels", type=int, default=4, metavar="J", help="comparison depth")
+    for p in (c, k):  # the commands that run the engine
+        p.add_argument("--max-depth", type=int, default=64, help="dilatation recursion cap")
     return parser
 
 
@@ -265,7 +267,7 @@ def main(argv=None) -> int:
             if isinstance(exc, types):
                 return code
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: a --trace file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import re
 from operator import mul
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coeff import LocalRing, LocalRingElement
 from .errors import (
@@ -24,6 +24,11 @@ Exponents = Tuple[int, ...]
 
 def _grlex(exps: Exponents):
     return (sum(exps), exps)
+
+
+def _accumulate(acc: Dict[Exponents, LocalRingElement], exps: Exponents, c: LocalRingElement):
+    """Add c into acc at exps; a zero sum stays, and MultiPoly's constructor drops it."""
+    acc[exps] = acc[exps] + c if exps in acc else c
 
 
 def weighted_degree(exps: Sequence[int], alpha: Sequence[int]) -> int:
@@ -82,20 +87,12 @@ class MultiPoly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _merge(self, acc: Dict[Exponents, LocalRingElement], exps: Exponents, c: LocalRingElement):
-        prev = acc.get(exps)
-        c = c if prev is None else prev + c
-        if c.is_zero():
-            acc.pop(exps, None)
-        else:
-            acc[exps] = c
-
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         if self.ring != other.ring or self.n != other.n:
             raise ValueError("incompatible polynomials")
         acc = dict(self.terms)
         for e, c in other.terms.items():
-            self._merge(acc, e, c)
+            _accumulate(acc, e, c)
         return MultiPoly(self.ring, self.n, acc)
 
     def __neg__(self) -> "MultiPoly":
@@ -123,10 +120,10 @@ class MultiPoly:
 
     def reduce_mod_pi(self) -> "ResiduePoly":
         """Coefficient-wise reduction; requires unit content so the result is nonzero."""
-        terms = {e: r for e, c in self.terms.items() if (r := c.reduce())}
-        if not terms:
+        fbar = ResiduePoly(self.ring.p, self.n, {e: c.reduce() for e, c in self.terms.items()})
+        if fbar.is_zero():
             raise NonUnitContent("all coefficients divisible by the uniformizer")
-        return ResiduePoly(self.ring.p, self.n, terms)
+        return fbar
 
     def substitute_affine(
         self, center: Sequence[LocalRingElement], scale: Sequence[int]
@@ -160,19 +157,10 @@ class MultiPoly:
                 nxt: Dict[Exponents, LocalRingElement] = {}
                 for exps, v in partial.items():
                     for j, coef in row.items():
-                        w = v * coef
-                        if w.is_zero():
-                            continue
-                        key = exps[:i] + (j,) + exps[i + 1 :]
-                        prev = nxt.get(key)
-                        w = w if prev is None else prev + w
-                        if w.is_zero():
-                            nxt.pop(key, None)
-                        else:
-                            nxt[key] = w
+                        _accumulate(nxt, exps[:i] + (j,) + exps[i + 1 :], v * coef)
                 partial = nxt
             for exps, v in partial.items():
-                self._merge(acc, exps, v)
+                _accumulate(acc, exps, v)
         return MultiPoly(ring, self.n, acc)
 
     def rescale(self, m: Sequence[int], k: int) -> "MultiPoly":
@@ -291,7 +279,7 @@ class ResiduePoly:
 
 # -- parser --------------------------------------------------------------------
 #
-# Grammar:
+# Grammar (regular, so parse reads the tokens in one pass, with no recursion):
 #   expr   := ['-'] term (('+'|'-') term)*
 #   term   := factor ('*' factor)*
 #   factor := coeff | var ('^' nat)?
@@ -307,102 +295,30 @@ _TOKEN = re.compile(
 )
 
 
-class _Token:
-    __slots__ = ("kind", "value", "pos")
+def _tokenize(text: str) -> List[Tuple[str, Optional[int], int]]:
+    """The (kind, value, position) tokens of text, ending in ("end", None, len(text)).
 
-    def __init__(self, kind, value, pos):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
-
-
-def _tokenize(text: str):
+    Kinds are "nat" and "var" (value: the integer, the 0-based slot), and
+    each operator character with value None.  The whole text is read first,
+    so a bad character anywhere is reported before any grammar error.
+    """
     tokens = []
     for m in _TOKEN.finditer(text):
         kind, value, pos = m.lastgroup, m[m.lastgroup], m.start()
         if kind == "nat":
-            tokens.append(_Token("nat", int(value), pos))
+            tokens.append(("nat", int(value), pos))
         elif kind == "index":
             if int(value) == 0:
                 raise PolynomialSyntaxError("variable index must be >= 1", pos)
-            tokens.append(_Token("var", int(value) - 1, pos))
+            tokens.append(("var", int(value) - 1, pos))
         elif kind == "name":
-            tokens.append(_Token("var", _NAMED_VARS[value], pos))
+            tokens.append(("var", _NAMED_VARS[value], pos))
         elif kind == "op":
-            tokens.append(_Token(value, None, pos))
+            tokens.append((value, None, pos))
         elif kind == "bad":
             raise PolynomialSyntaxError(f"unexpected character {value!r}", pos)
-    tokens.append(_Token("end", None, len(text)))
+    tokens.append(("end", None, len(text)))
     return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, ring: LocalRing):
-        self.tokens = tokens
-        self.i = 0
-        self.ring = ring
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise PolynomialSyntaxError(f"expected {kind}, found {tok.kind}", tok.pos)
-        return self.advance()
-
-    def parse_expr(self):
-        terms = []
-        negate = False
-        if self.peek().kind == "-":
-            self.advance()
-            negate = True
-        terms.append(self.parse_term(negate))
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            terms.append(self.parse_term(op.kind == "-"))
-        self.expect("end")
-        return terms
-
-    def parse_term(self, negate: bool):
-        coeff = self.ring.one()
-        exps: Dict[int, int] = {}
-        while True:
-            coeff, exps = self.parse_factor(coeff, exps)
-            if self.peek().kind == "*":
-                self.advance()
-            else:
-                break
-        if negate:
-            coeff = -coeff
-        return coeff, exps
-
-    def parse_factor(self, coeff, exps):
-        tok = self.advance()
-        if tok.kind == "nat":
-            return coeff * self.ring.from_int(tok.value), exps
-        if tok.kind == "u":
-            if not self.ring.positive_char:
-                raise UniformizerInCharZero("uniformizer symbol u in characteristic 0", tok.pos)
-            power = self.parse_power()
-            return coeff * self.ring.pi(power), exps
-        if tok.kind == "var":
-            power = self.parse_power()
-            exps = dict(exps)
-            exps[tok.value] = exps.get(tok.value, 0) + power
-            return coeff, exps
-        raise PolynomialSyntaxError(f"expected a coefficient or variable, found {tok.kind}", tok.pos)
-
-    def parse_power(self) -> int:
-        if self.peek().kind != "^":
-            return 1
-        self.advance()
-        return self.expect("nat").value
 
 
 def parse(text: str, ring: LocalRing, n_hint: Optional[int] = None) -> MultiPoly:
@@ -413,9 +329,43 @@ def parse(text: str, ring: LocalRing, n_hint: Optional[int] = None) -> MultiPoly
     ``n_hint`` when that is larger.  In characteristic p the symbol ``u``
     denotes the uniformizer inside coefficients.
     """
-    terms = _Parser(_tokenize(text), ring).parse_expr()
-    max_slot = max((max(e) for _, e in terms if e), default=-1)
-    n = max_slot + 1
+    tokens = _tokenize(text)
+    negate = tokens[0][0] == "-"
+    i = int(negate)
+    terms = []  # (coefficient, {slot: power}) per term
+    coeff, exps = ring.one(), {}
+    while True:
+        kind, value, pos = tokens[i]
+        i += 1
+        if kind == "nat":
+            coeff = coeff * ring.from_int(value)
+        elif kind == "u" or kind == "var":
+            if kind == "u" and not ring.positive_char:
+                raise UniformizerInCharZero("uniformizer symbol u in characteristic 0", pos)
+            power = 1
+            if tokens[i][0] == "^":
+                found, power, at = tokens[i + 1]
+                if found != "nat":
+                    raise PolynomialSyntaxError(f"expected nat, found {found}", at)
+                i += 2
+            if kind == "u":
+                coeff = coeff * ring.pi(power)
+            else:
+                exps[value] = exps.get(value, 0) + power
+        else:
+            raise PolynomialSyntaxError(f"expected a coefficient or variable, found {kind}", pos)
+        kind, _, pos = tokens[i]
+        i += 1
+        if kind == "*":
+            continue
+        terms.append((-coeff if negate else coeff, exps))
+        if kind != "+" and kind != "-":
+            break
+        negate = kind == "-"
+        coeff, exps = ring.one(), {}
+    if kind != "end":
+        raise PolynomialSyntaxError(f"expected end, found {kind}", pos)
+    n = max((max(e) for _, e in terms if e), default=-1) + 1
     if n_hint is not None:
         if n_hint < n:
             raise PolynomialSyntaxError(f"n_hint {n_hint} below used variable count {n}", 0)
@@ -423,11 +373,5 @@ def parse(text: str, ring: LocalRing, n_hint: Optional[int] = None) -> MultiPoly
     n = max(n, 1)
     acc: Dict[Exponents, LocalRingElement] = {}
     for coeff, exps in terms:
-        vec = tuple(exps.get(i, 0) for i in range(n))
-        prev = acc.get(vec)
-        c = coeff if prev is None else prev + coeff
-        if c.is_zero():
-            acc.pop(vec, None)
-        else:
-            acc[vec] = c
+        _accumulate(acc, tuple(exps.get(slot, 0) for slot in range(n)), coeff)
     return MultiPoly(ring, n, acc)

@@ -232,7 +232,7 @@ def series_check(
         return True
     p, n = f.ring.p, f.n
     if counts is None:
-        counts = analysis.solution_counts(f, J, budget)
+        counts = analysis.oracle_counts(f, J, budget)
     masses = [Fraction(counts[j], p ** (n * j)) for j in range(J + 1)]
     expected = [masses[j] - masses[j + 1] for j in range(J)]
     return Z.series_expand(J - 1) == expected

@@ -17,8 +17,11 @@ lemma below gives each limit cell one index reuse_from, read off its stored
 tree, such that iterate k reuses the cell iff k >= reuse_from; so
 C_k = C_inf for every k >= k* = max reuse_from.  The iterates stop there:
 those with k < max(k*, 1) are computed, and k0 is the least k >= 1 from
-which the computed ones equal C_inf.  Only the check command certifies Z
-(spf.series_check).
+which the computed ones equal C_inf.  Only the check command certifies Z,
+in three comparisons: the Poincare counts read off Z against the oracle's
+congruence counts, Z's series against the counted valuation fibres
+(spf.series_check), and, for a two-term curve a*x^n + b*y^m, Z against the
+closed form.
 
 The complement of A_alpha is partitioned into |alpha| valuation cells (see
 region.complement_cells): with the coordinates ordered by decreasing

@@ -257,6 +257,18 @@ def test_oracle_text_and_json(capsys):
     assert json.loads(out) == {"N": [1, 5, 45], "n": 2, "p": 5}
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--format", "json"],
+    ["oracle", "--max-depth", "3"],
+    ["oracle", "--format", "latex"],
+], ids=["check-format", "oracle-max-depth", "oracle-latex"])
+def test_options_a_command_does_not_read_are_rejected(argv):
+    # argparse reports usage errors with exit status 2
+    with pytest.raises(SystemExit) as exit_:
+        main([argv[0], "x^2+y^3", "--prime", "5", *argv[1:]])
+    assert exit_.value.code == 2
+
+
 def test_check_passes(capsys):
     code, out, _ = run(capsys, "check", "x^2+y^3", "--prime", "5", "--levels", "3")
     assert code == 0
@@ -381,6 +393,14 @@ def test_trace_export(tmp_path, capsys):
     assert doc["tree"]["depth"] == 0
     assert doc["tree"]["children"][0]["e"] == 1
     assert doc["stats"]["nodes"] >= 2
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-directory"])
+def test_trace_file_that_cannot_be_written(tmp_path, capsys, target):
+    trace = tmp_path if target == "directory" else tmp_path / "missing" / "trace.json"
+    code, out, err = run(capsys, "compute", "x^2+y^3", "--prime", "5", "--trace", str(trace))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(trace) in err
 
 
 @pytest.mark.parametrize("poly, prime, digest", [

@@ -43,10 +43,27 @@ def test_parse_uniformizer_charp():
     assert f.terms[(1, 0)] == F5PI.one()
 
 
-def test_parse_syntax_error_position():
+@pytest.mark.parametrize("text, n_hint, error, message, position", [
+    ("x0", None, PolynomialSyntaxError, "variable index must be >= 1", 0),
+    ("x^^2", None, PolynomialSyntaxError, "expected nat, found ^", 2),
+    ("x^2 + y^", None, PolynomialSyntaxError, "expected nat, found end", 8),
+    ("x +", None, PolynomialSyntaxError, "expected a coefficient or variable, found end", 3),
+    ("+x", None, PolynomialSyntaxError, "expected a coefficient or variable, found +", 0),
+    ("", None, PolynomialSyntaxError, "expected a coefficient or variable, found end", 0),
+    ("3x", None, PolynomialSyntaxError, "expected end, found var", 1),
+    ("x y", None, PolynomialSyntaxError, "expected end, found var", 2),
+    ("z", 1, PolynomialSyntaxError, "n_hint 1 below used variable count 3", 0),
+    ("u^^2", None, UniformizerInCharZero, "uniformizer symbol u in characteristic 0", 0),
+    # the whole text is tokenized first: a bad character beats an earlier grammar error
+    ("x^^2+²", None, PolynomialSyntaxError, "unexpected character '²'", 5),
+], ids=["index-zero", "double-caret", "power-at-end", "trailing-plus", "leading-plus", "empty",
+        "juxtaposed-coefficient", "juxtaposed-variables", "n-hint-too-small",
+        "uniformizer-before-power", "bad-character-first"])
+def test_parse_errors(text, n_hint, error, message, position):
     with pytest.raises(PolynomialSyntaxError) as err:
-        parse("x^^2", Z5)
-    assert err.value.position == 2
+        parse(text, Z5, n_hint=n_hint)
+    assert type(err.value) is error
+    assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
 
 
 @pytest.mark.parametrize("text, position, char", [
@@ -78,12 +95,6 @@ def test_parse_more_shapes():
     f = parse("x2 + y", Z5)
     assert f.n == 2 and f.terms[(0, 1)].payload == 2
     with pytest.raises(PolynomialSyntaxError):
-        parse("x +", Z5)
-    with pytest.raises(PolynomialSyntaxError):
-        parse("3x", Z5)  # juxtaposition needs '*'
-    with pytest.raises(PolynomialSyntaxError):
-        parse("x^2 + y^", Z5)
-    with pytest.raises(PolynomialSyntaxError):
         parse("q + 1", Z5)
 
 
@@ -96,8 +107,6 @@ def test_parse_charp_coefficient_reduction():
 def test_n_hint():
     f = parse("x^2", Z5, n_hint=3)
     assert f.n == 3 and f.terms == {(2, 0, 0): Z5.one()}
-    with pytest.raises(PolynomialSyntaxError):
-        parse("z", Z5, n_hint=1)
 
 
 def test_render_parse_roundtrip():
