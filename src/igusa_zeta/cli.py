@@ -52,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("poly", help='polynomial text, e.g. "x^2+y^3" (u = uniformizer in char p)')
+        p.add_argument("poly", help='polynomial text, e.g. "x^2+y^3" (u = uniformizer in char p);'
+                                    ' one starting with "-" goes last, after the options and --')
         p.add_argument("--prime", type=int, required=True, help="residue characteristic p")
         p.add_argument("--char", choices=["0", "p"], default="0",
                        help="field characteristic: 0 for Q_p, p for F_p((u))")
@@ -60,7 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="enumeration budget (>= 1): per classification, the residue "
                             "points of its parts, p^2 per histogram convolution and the "
                             "critical-point combinations; lifting candidates N_(j-1)*p^n "
-                            "per counting level")
+                            "per counting level; the weight candidates that compute "
+                            "and check search without --weights")
 
     c = sub.add_parser("compute", help="compute Z(f, s) via the weight-system driver")
     common(c)

@@ -30,8 +30,8 @@ class BudgetExceeded(EngineError):
 
     The budget caps the work of one classification (the residue points of
     its parts, p^2 per histogram convolution and the combinations of
-    critical points it visits) and the N_(j-1) p^n lifting candidates of one
-    congruence-counting level.
+    critical points it visits), the N_(j-1) p^n lifting candidates of one
+    congruence-counting level and the box^n candidates of the weight search.
     """
 
 

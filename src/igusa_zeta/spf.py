@@ -59,8 +59,8 @@ class SpfConfig:
     descent, and no a priori bound is computed (see module docs).  budget
     caps the work of one classification: the residue points enumerated part
     by part, p^2 per histogram convolution and the combinations of critical
-    points visited (see neron.classify_points).  The semiquasihomogeneous
-    driver's iteration needs no cap: sqh bounds it by the reuse lemma.
+    points visited (see neron.classify_points), and sqh's weight search.
+    The semiquasihomogeneous iteration needs no cap: the reuse lemma bounds it.
     """
 
     __slots__ = ("max_depth", "budget")
@@ -105,7 +105,7 @@ class SpfContext:
 
 
 Tally = Dict[Tuple[int, int], Tuple[int, int]]
-"""{(E, k): (a, b)} standing for sum of (a + b (1 - q^(-1)) t / (1 - q^(-1) t)) p^(-k) t^E."""
+"""{(E, k): (a, b)}: sum (a + b (1 - q^(-1)) t / (1 - q^(-1) t)) p^(-k) t^E; a, b may be < 0."""
 
 
 def tally_add(tally: Tally, key: Tuple[int, int], a: int, b: int):
@@ -114,17 +114,19 @@ def tally_add(tally: Tally, key: Tuple[int, int], a: int, b: int):
     tally[key] = (a0 + a, b0 + b)
 
 
-def tally_shift(tally: Tally, e: int, k: int) -> Tally:
-    """The tally of p^(-k) t^e times the tally's value."""
-    return {(E + e, K + k): ab for (E, K), ab in tally.items()}
+def tally_merge(into: Tally, tally: Tally, e: int = 0, k: int = 0, sign: int = 1) -> Tally:
+    """Add sign p^(-k) t^e times the tally's value to ``into``, and return ``into``."""
+    for (E, K), (a, b) in tally.items():
+        tally_add(into, (E + e, K + k), sign * a, sign * b)
+    return into
 
 
-def tally_ratfun(p: int, tally: Tally) -> RatFun:
-    """The rational function a tally stands for, normalised once.
+def tally_ratfun(p: int, tally: Tally, *closing: DenomFactor) -> RatFun:
+    """The rational function a tally stands for, over the ``closing`` factors, normalised once.
 
     Over p^(K+1), K the largest k, the numerator gains p^(K-k) (a p) at
     t^E and p^(K-k) (b (p - 1) - a) at t^(E+1) per entry, all integers.
-    The integer numerator and p^(K+1) go to RatFun.from_integers directly.
+    They go to RatFun.from_integers over (1 - q^(-1) t) and ``closing``.
     """
     top = max((k for _, k in tally), default=0)
     degree = max((e for e, _ in tally), default=-1) + 2
@@ -133,7 +135,7 @@ def tally_ratfun(p: int, tally: Tally) -> RatFun:
         weight = p ** (top - k)
         num[e] += weight * a * p
         num[e + 1] += weight * (b * (p - 1) - a)
-    return RatFun.from_integers(p, num, p ** (top + 1), (DenomFactor(1, 1),))
+    return RatFun.from_integers(p, num, p ** (top + 1), (DenomFactor(1, 1),) + closing)
 
 
 def spf_zeta(

@@ -51,22 +51,25 @@ Reused cells are counted in tree_stats and collected in the trees as engine
 calls, with the limit's trees, so the statistics and the --trace export do
 not depend on the reuse.
 
-Cell values are kept as the engine's integer tallies (see the spf module),
-shifted per cell; a complement integral adds its cells' tallies and builds
-one RatFun.  The iterate sum, the comparison of the last iterates with
-C_inf and the geometric close stay in RatFun arithmetic.
+Cell values are the engine's integer tallies (see the spf module).  u^k
+shifts a key (E, j) by (k d, k |alpha|), so with e0 the content of F,
+(1 - u) t^(-e0) Z is one tally, sum_{k < k0} (u^k - u^(k+1)) C_k + u^k0 C_inf,
+and Z is its one RatFun, over (1 - q^(-1) t) (1 - u).  Other RatFuns are built
+only to compare C_inf with the last iterates, when two or more are computed.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from fractions import Fraction
+from functools import reduce
 from math import gcd
 from operator import add, mul
 from typing import Dict, List, Optional, Tuple
 
+from .coeff import DEFAULT_BUDGET
 from .errors import (
+    BudgetExceeded,
     InvalidHint,
     InvariantViolation,
     NotSemiQuasiHomogeneous,
@@ -76,7 +79,7 @@ from .neron import DilatationNode
 from .poly import MultiPoly, weighted_degree
 from .ratfun import DenomFactor, RatFun
 from .region import ValuationCell, cell_change_of_variables, complement_cells
-from .spf import SpfConfig, SpfContext, Tally, spf_tally, tally_add, tally_ratfun, tally_shift
+from .spf import SpfConfig, SpfContext, Tally, spf_tally, tally_merge, tally_ratfun
 
 
 class WeightSystem(namedtuple("WeightSystem", "alpha d")):
@@ -122,7 +125,9 @@ def _split_by_weight(F: MultiPoly, w: WeightSystem) -> Tuple[MultiPoly, MultiPol
     return MultiPoly(F.ring, F.n, quasi), MultiPoly(F.ring, F.n, tail)
 
 
-def detect_weights(F: MultiPoly, hint: Optional[WeightSystem] = None) -> SqhDecomposition:
+def detect_weights(
+    F: MultiPoly, hint: Optional[WeightSystem] = None, budget: int = DEFAULT_BUDGET
+) -> SqhDecomposition:
     """Find (or validate) a weight system exhibiting F as semiquasihomogeneous.
 
     With a hint, every monomial must have weighted degree >= d and those
@@ -132,6 +137,7 @@ def detect_weights(F: MultiPoly, hint: Optional[WeightSystem] = None) -> SqhDeco
     in the minimal-weight part (a cheap necessary condition for the origin
     to be the only singularity of that part -- the full condition refers to
     the algebraic closure and is asserted by the caller, not decided here).
+    The box^n candidates are charged to ``budget`` before any is built.
     """
     if F.is_zero():
         raise ZeroPolynomial("cannot decompose the zero polynomial")
@@ -153,6 +159,8 @@ def detect_weights(F: MultiPoly, hint: Optional[WeightSystem] = None) -> SqhDeco
 
     n = F.n
     box = max(F.total_degree(), 1)
+    if box**n > budget:
+        raise BudgetExceeded(f"weight search: {box}^{n} candidate weights exceed budget {budget}")
     candidates = sorted(
         (alpha for alpha in itertools.product(range(1, box + 1), repeat=n)
          if gcd(*alpha) == 1),
@@ -221,7 +229,7 @@ def _cell_integral(F: MultiPoly, cell: ValuationCell, ctx: SpfContext) -> CellIn
     """F over one cell: the engine on its residue region, times the cell's q^(-d) t^e."""
     e, d, f_cell, target = cell_change_of_variables(F, cell)
     tally, root = spf_tally(f_cell, target, ctx)
-    return CellIntegral(tally_shift(tally, e, d), e, root)
+    return CellIntegral(tally_merge({}, tally, e, d), e, root)
 
 
 def _tail_terms(tail: MultiPoly, w: WeightSystem) -> List[Tuple[Tuple[int, ...], int, int]]:
@@ -296,13 +304,9 @@ def _cell_integrals(
     return out
 
 
-def _complement_sum(p: int, cells: Dict[ValuationCell, CellIntegral]) -> RatFun:
-    """The sum over the partition, one RatFun over (1 - q^(-1) t) (see spf.tally_ratfun)."""
-    merged: Tally = {}
-    for integral in cells.values():
-        for key, (a, b) in integral.value.items():
-            tally_add(merged, key, a, b)
-    return tally_ratfun(p, merged)
+def _complement_tally(cells: Dict[ValuationCell, CellIntegral]) -> Tally:
+    """The sum over the partition: the cells' tallies added up."""
+    return reduce(tally_merge, (integral.value for integral in cells.values()), {})
 
 
 def limit_cells(dec: SqhDecomposition, ctx: Optional[SpfContext] = None) -> LimitCells:
@@ -320,8 +324,8 @@ def zeta_on_complement(
     ctx: Optional[SpfContext] = None,
     limit: Optional[LimitCells] = None,
     k: int = 0,
-) -> RatFun:
-    """Zeta integral of F over the complement of the polydisc A_alpha.
+) -> Tally:
+    """The tally of the zeta integral of F over the complement of the polydisc A_alpha.
 
     Assembled as the sum over the |alpha| cells that partition the
     complement, each rewritten onto a residue region and evaluated
@@ -329,10 +333,10 @@ def zeta_on_complement(
     F must be the k-th iterate of the polynomial whose decomposition built
     ``limit``, and the cells with reuse_from <= k are reused.  Reused cells
     join ctx's trees, and so its statistics, as engine calls, with the
-    limit's trees.  The cells' tallies add up to one tally, whose RatFun
-    has denominator dividing (1 - q^(-1) t).
+    limit's trees.  spf.tally_ratfun(p, tally) is the integral as a
+    RatFun, whose denominator divides (1 - q^(-1) t).
     """
-    return _complement_sum(F.ring.p, _cell_integrals(F, w, ctx or SpfContext(), limit, k))
+    return _complement_tally(_cell_integrals(F, w, ctx or SpfContext(), limit, k))
 
 
 class SqhReport:
@@ -393,54 +397,44 @@ def zeta_semiquasihomogeneous(
     surfaces as DepthExceeded (exit code 4 in the CLI), never as a wrong
     value that the cap silently accepts.  The iterates need no cap and no
     test of their values: the reuse lemma proves C_k = C_inf for k >= k*
-    (see _reuse_from), so the iterates k < max(k*, 1) are computed and the
-    sum closes after them.  k0 drops the trailing computed iterates equal to
-    C_inf, down to 1 while F has a tail.
+    (see _reuse_from), so the iterates k < max(k*, 1) are computed if F has
+    a tail, none if not, and the sum closes after them.  k0 drops the
+    trailing computed iterates whose RatFun is C_inf's, down to 1 (so k0 = 0
+    without a tail).  Z is built once, from one tally (see the module docs).
     """
     if F.is_zero():
         raise ZeroPolynomial("zeta integral of the zero polynomial diverges")
     e0 = F.content_valuation()
     if e0:
         F = F.divide_by_uniformizer(e0)
-    dec = detect_weights(F, hint)
+    ctx = SpfContext(cfg)
+    dec = detect_weights(F, hint, ctx.cfg.budget)
     w = dec.weights
     p = F.ring.p
-    ctx = SpfContext(cfg)
     limit = limit_cells(dec, ctx)
-    c_limit = _complement_sum(p, limit.cells)
-    u_scale = Fraction(1, p**w.total)
+    c_limit = _complement_tally(limit.cells)
 
-    if dec.tail.is_zero():
-        k0 = 0
-        value = c_limit.geometric_close(w.total, w.d)
-    else:
-        iterates: List[RatFun] = [zeta_on_complement(F, w, ctx, limit)]
-        current = F
-        tail_level = dec.tail.content_valuation()
-        for k in range(1, max(max(limit.reuse_from.values()), 1)):
+    iterates: List[Tally] = []
+    current, level = F, -1
+    for k in range(max(max(limit.reuse_from.values()), 1) if dec.tail.terms else 0):
+        if k:
             current = scale_step(current, w)
-            level = (current - dec.quasi).content_valuation()
-            if level <= tail_level:
-                raise InvariantViolation("tail valuation failed to increase")
-            tail_level = level
-            iterates.append(zeta_on_complement(current, w, ctx, limit, k))
-        k0 = len(iterates)
-        while k0 > 1 and iterates[k0 - 1] == c_limit:
+        previous, level = level, (current - dec.quasi).content_valuation()
+        if level <= previous:
+            raise InvariantViolation("tail valuation failed to increase")
+        iterates.append(zeta_on_complement(current, w, ctx, limit, k))
+    k0 = len(iterates)
+    if k0 > 1:
+        c_inf = tally_ratfun(p, c_limit)
+        while k0 > 1 and tally_ratfun(p, iterates[k0 - 1]) == c_inf:
             k0 -= 1
-        value = RatFun.zero(p)
-        for k in range(k0):
-            value = value + iterates[k].scale(u_scale**k, w.d * k)
-        value = value + c_limit.scale(u_scale**k0, w.d * k0).geometric_close(w.total, w.d)
 
-    if e0:
-        value = value.scale(1, e0)
-    allowed = sorted([DenomFactor(1, 1), DenomFactor(w.total, w.d)])
-    remaining = list(value.denom)
-    for factor in allowed:
-        if factor in remaining:
-            remaining.remove(factor)
-    if remaining:
-        raise InvariantViolation(f"denominator {value.denom} outside the guaranteed shape")
+    a, d = w.total, w.d  # u^k shifts a key by (k d, k a)
+    closed = tally_merge({}, c_limit, e0 + k0 * d, k0 * a)
+    for k, c_k in enumerate(iterates[:k0]):
+        tally_merge(closed, c_k, e0 + k * d, k * a)
+        tally_merge(closed, c_k, e0 + (k + 1) * d, (k + 1) * a, -1)
+    value = tally_ratfun(p, closed, DenomFactor(a, d))
     report = SqhReport(
         weights=w,
         k0=k0,

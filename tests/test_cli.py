@@ -74,19 +74,21 @@ def test_compute_weight_hint(capsys):
 
 
 @pytest.mark.parametrize("text, weights, k0", [
-    ("x*y", [1, 1], 0),
-    ("x*y+z^2", [1, 1, 1], 0),
-    ("x^2+y*z", [1, 1, 1], 0),
-    ("x*y+z*w", [1, 1, 1, 1], 0),
-    ("x*y+x^3+y^3", [1, 1], 1),
+    ("x*y", ([1, 1], 2), 0),
+    ("x*y+z^2", ([1, 1, 1], 2), 0),
+    ("x^2+y*z", ([1, 1, 1], 2), 0),
+    ("x*y+z*w", ([1, 1, 1, 1], 2), 0),
+    ("x*y+x^3+y^3", ([1, 1], 2), 1),
+    ("x*y+z^3", ([1, 2, 1], 3), 0),
 ])
 def test_weights_off_compact_facets(capsys, text, weights, k0):
     # the weight-d part is a vertex or an edge of the Newton polyhedron, not
-    # a compact facet with a positive normal; these are today's weights
+    # a compact facet with a positive normal; these are today's (alpha, d),
+    # and x*y+z^3 is an edge whose alpha is not all ones
     code, out, _ = run(capsys, "compute", text, "--prime", "5", "--format", "json")
     assert code == 0
     report = json.loads(out)["report"]
-    assert (report["weights"], report["d"], report["k0"]) == (weights, 2, k0)
+    assert ((report["weights"], report["d"]), report["k0"]) == (weights, k0)
     code, out, _ = run(capsys, "check", text, "--prime", "5", "--levels", "2")
     assert code == 0 and "FAIL" not in out
 
@@ -147,6 +149,21 @@ def test_exit_code_hint_of_wrong_length(capsys):
     code, out, err = run(capsys, "compute", "x^2+y^3", "--prime", "5", "--weights", "3,2,1:6")
     assert code == 3 and out == ""
     assert err == "error: weight hint has 3 weights for 2 variables\n"
+
+
+def test_exit_code_budget_in_the_weight_search(capsys):
+    # x1*x61 has 61 variables: the 2^61 candidate weight vectors are charged
+    # to the budget before any is built
+    code, out, err = run(capsys, "compute", "x1*x61", "--prime", "3")
+    assert code == 6 and out == ""
+    assert "budget" in err and "weight search" in err
+
+
+def test_leading_minus_goes_after_the_options(capsys):
+    # argparse reads "-x^2+y^3" as an option unless it comes last, after --
+    code, out, _ = run(capsys, "compute", "--prime", "5", "--format", "json", "--", "-x^2+y^3")
+    assert code == 0
+    assert (code, out) == run(capsys, "compute", "y^3-x^2", "--prime", "5", "--format", "json")[:2]
 
 
 def test_exit_code_depth(capsys):

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from igusa_zeta import (
+    BudgetExceeded,
     DenomFactor,
     InsufficientValuation,
     InvalidHint,
@@ -100,6 +101,15 @@ def test_detect_rejects_constant_term():
         detect_weights(MultiPoly.zero(Z5, 1))
 
 
+def test_weight_search_is_charged_to_the_budget():
+    # x*y has the 2^2 candidates (1,1), (1,2), (2,1), (2,2); the hint skips the search
+    f = parse("x*y", Z5)
+    with pytest.raises(BudgetExceeded, match="weight search: 2\\^2 candidate"):
+        detect_weights(f, budget=3)
+    assert detect_weights(f, budget=4).weights == WeightSystem((1, 1), 2)
+    assert detect_weights(f, WeightSystem((1, 1), 2), budget=1).weights == WeightSystem((1, 1), 2)
+
+
 def test_hint_validation():
     f = parse("x^2+y^3+x*y", Z5)
     with pytest.raises(InvalidHint):
@@ -166,12 +176,12 @@ def test_scale_step_tail_valuation_strictly_increases():
 
 
 def test_zeta_on_complement_line():
-    value = zeta_on_complement(parse("x", Z5), WeightSystem((1,), 1))
+    value = tally_ratfun(5, zeta_on_complement(parse("x", Z5), WeightSystem((1,), 1)))
     assert value == RatFun.const(5, Fraction(4, 5))
 
 
 def test_zeta_on_complement_denominator_shape():
-    value = zeta_on_complement(parse("x^2+y^3", Z5), WeightSystem((3, 2), 6))
+    value = tally_ratfun(5, zeta_on_complement(parse("x^2+y^3", Z5), WeightSystem((3, 2), 6)))
     assert set(value.denom) <= {DenomFactor(1, 1)}
 
 
@@ -258,7 +268,8 @@ def test_iterate_complements_match_engine_on_every_cell(text, ring, monkeypatch)
         expected, roots = reference_complement(current, w)
         calls.count = 0
         ctx = SpfContext(SpfConfig())
-        assert zeta_on_complement(current, w, ctx=ctx, limit=limit, k=k) == expected
+        tally = zeta_on_complement(current, w, ctx=ctx, limit=limit, k=k)
+        assert tally_ratfun(ring.p, tally) == expected
         assert [r.to_json() for r in ctx.roots] == [r.to_json() for r in roots]
         stats = ctx.stats_dict()
         assert stats["spf_calls"] == cells
@@ -464,13 +475,13 @@ def test_early_stop_below_reuse_index():
     value, report = zeta_semiquasihomogeneous(F)
     assert report.k0 == 1
     assert report.tree_stats["spf_calls"] == 8 * (1 + k_star)
-    c_inf = zeta_on_complement(dec.quasi, w)
+    c_inf = tally_ratfun(5, zeta_on_complement(dec.quasi, w))
     current = F
     for _ in range(4):
         current = scale_step(current, w)
-        assert zeta_on_complement(current, w) == c_inf
+        assert tally_ratfun(5, zeta_on_complement(current, w)) == c_inf
     u = Fraction(1, 5**w.total)
-    expected = zeta_on_complement(F, w)
+    expected = tally_ratfun(5, zeta_on_complement(F, w))
     assert value == expected + c_inf.scale(u, w.d).geometric_close(w.total, w.d)
 
 
@@ -479,7 +490,8 @@ def test_k0_is_at_least_one_with_a_tail():
     # has a tail
     F = parse("x^3+y^5+x^2*y^2+x*y^4", Z5)
     dec = detect_weights(F)
-    assert zeta_on_complement(F, dec.weights) == zeta_on_complement(dec.quasi, dec.weights)
+    c_0 = tally_ratfun(5, zeta_on_complement(F, dec.weights))
+    assert c_0 == tally_ratfun(5, zeta_on_complement(dec.quasi, dec.weights))
     assert zeta_semiquasihomogeneous(F)[1].k0 == 1
 
 
@@ -494,7 +506,7 @@ def test_partition_matches_signed_family(text, ring):
     F = parse(text, ring)
     w = detect_weights(F).weights
     for _ in range(4):
-        assert zeta_on_complement(F, w) == signed_family_complement(F, w)
+        assert tally_ratfun(ring.p, zeta_on_complement(F, w)) == signed_family_complement(F, w)
         F = scale_step(F, w)
 
 
@@ -523,7 +535,7 @@ def test_quasihomogeneous_shortcut():
     f = parse("x^2+y^3", Z5)
     Z, report = zeta_semiquasihomogeneous(f)
     assert report.k0 == 0
-    c_inf = zeta_on_complement(f, report.weights)
+    c_inf = tally_ratfun(5, zeta_on_complement(f, report.weights))
     assert c_inf.geometric_close(5, 6) == Z
 
 
@@ -571,6 +583,44 @@ def test_driver_charp_with_pi_tail():
     f = parse("x^2+y^3+u*x*y^2", F5PI)
     Z, _ = zeta_semiquasihomogeneous(f)
     assert series_check(f, Z, 3)
+
+
+@pytest.mark.parametrize("text, ring, k0", [
+    ("x^2+3*y^3", Z3, 0),
+    ("x^2+y^3+x*y^3", Z3, 1),
+    (f"x^2+{3**20}*y^3+x*y^3", Z3, 4),
+    (f"x^2+{3**100}*y^3+x*y^3", Z3, 17),
+    (f"x^2+{3**70}*y^3+x*y^2", Z3, 36),
+    ("5*x^2+5*y^3+25*x*y^2", Z5, 1),
+    ("u*x^2+u*y^3+u^2*x*y^2", F5PI, 1),
+    ("x^3+y^3+y^4", Z3, 2),
+    ("x^2+y^2", Z5, 0),
+    ("x*y+x^3+y^3", Z5, 1),
+])
+def test_driver_is_the_iterate_sum(text, ring, k0):
+    # Z = t^e0 (sum_{k < k0} u^k C_k + u^k0 C_inf / (1 - u)), u = q^(-|alpha|) t^d,
+    # summed in RatFun arithmetic from complements computed without the
+    # limit, and Z's denominator divides (1 - q^(-1) t)(1 - q^(-|alpha|) t^d)
+    F = parse(text, ring)
+    Z, report = zeta_semiquasihomogeneous(F)
+    assert report.k0 == k0
+    p, e0 = ring.p, F.content_valuation()
+    F = F.divide_by_uniformizer(e0)
+    dec = detect_weights(F)
+    w = dec.weights
+    u = Fraction(1, p**w.total)
+    expected = RatFun.zero(p)
+    for k in range(k0):
+        expected = expected + tally_ratfun(p, zeta_on_complement(F, w)).scale(u**k, k * w.d)
+        F = scale_step(F, w)
+    c_inf = tally_ratfun(p, zeta_on_complement(dec.quasi, w))
+    expected = expected + c_inf.scale(u**k0, k0 * w.d).geometric_close(w.total, w.d)
+    assert Z == expected.scale(1, e0)
+    rest = list(Z.denom)
+    for factor in (DenomFactor(1, 1), DenomFactor(w.total, w.d)):
+        if factor in rest:
+            rest.remove(factor)
+    assert rest == []
 
 
 def test_driver_needs_two_exceptional_terms():
